@@ -16,14 +16,22 @@ Every per-head attention layer computes, for edge (v, u):
 Heads are averaged at every layer; a single linear layer decodes the last
 representations into two class logits.  Self-loops with edge weight 1 are
 always present so no softmax row is empty.
+
+Attention is computed on the edge list of the adjacency (message passing),
+not on dense V x V matrices: the E edges are sorted by destination v, so
+each softmax over N(v) is one contiguous segment, reduced with
+``np.maximum.reduceat`` / ``np.add.reduceat``, and the aggregation is a
+CSR product.  The backward pass uses the same segments.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .metrics import auroc
 
@@ -82,6 +90,7 @@ class FeatureImportanceReport:
     selected: list[str]             # top-theta feature names
     theta: int
     feature_names: list[str]
+    convergence: dict               # the ranked model's training summary
 
     def to_csv(self) -> str:
         lines = ["feature_name,delta_auroc,rank,selected"]
@@ -215,27 +224,46 @@ def _leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x > 0, 1.0, slope)
 
 
-def _ordered_row_sum(values: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along ``axis`` in value-sorted order (permutation invariant)."""
-    ordered = np.sort(values, axis=axis)
-    return np.cumsum(ordered, axis=axis).take(-1, axis=axis)
+class _Edges(NamedTuple):
+    """Attention edges (v <- u), self-loops included, sorted by ``dst``."""
+    dst: np.ndarray                 # (E,) node v whose softmax holds the edge
+    src: np.ndarray                 # (E,) neighbour u
+    indptr: np.ndarray              # (V + 1,) CSR bounds of each dst segment
+    weight: np.ndarray              # (E,) edge weight e_vu
 
 
-def forward(params: dict[str, np.ndarray], config: GatConfig, g: SubjectGraph,
-            dropout_rng: np.random.Generator | None = None,
-            features_override: np.ndarray | None = None,
-            return_cache: bool = False,
-            order_invariant: bool = False):
-    """Full forward pass; returns (V, 2) logits (and a backward cache).
+def _edge_list(g: SubjectGraph) -> _Edges:
+    v = g.n_nodes
+    if not np.all(np.diagonal(g.adjacency)):
+        raise ValueError("every node needs its self-loop in the adjacency")
+    # row-major order sorts the edges by destination; no segment is empty
+    dst, src = np.divmod(np.flatnonzero(g.adjacency), v)
+    indptr = np.searchsorted(dst, np.arange(v + 1))
+    return _Edges(dst, src, indptr, g.edge_weights[dst, src])
 
-    ``dropout_rng`` enables dropout after every attention layer.
-    ``order_invariant`` makes all neighbor reductions value-sorted so logits
-    are bit-identical under node relabeling (used by property tests; slower).
+
+def _segment_ordered_sum(values: np.ndarray, edges: _Edges) -> np.ndarray:
+    """Per-destination sum of edge ``values`` in value-sorted order, which
+    makes it permutation invariant.
+
+    Segments are zero-padded to the largest degree; padding with zeros
+    does not change a sorted sum.
     """
-    h = g.node_features if features_override is None else features_override
+    v = len(edges.indptr) - 1
+    slot = np.arange(len(edges.dst)) - edges.indptr[edges.dst]
+    padded = np.zeros((v, int(slot.max()) + 1) + values.shape[1:])
+    padded[edges.dst, slot] = values
+    return np.cumsum(np.sort(padded, axis=1), axis=1)[:, -1]
+
+
+def _forward(params: dict[str, np.ndarray], config: GatConfig,
+             edges: _Edges, h: np.ndarray,
+             dropout_rng: np.random.Generator | None,
+             order_invariant: bool):
+    """Logits and the per-edge backward cache (see :func:`forward`)."""
     h = np.asarray(h, dtype=np.float64)
-    mask = g.adjacency
-    e = g.edge_weights
+    v = h.shape[0]
+    starts = edges.indptr[:-1]
     cache = {"inputs": [], "heads": [], "drop": []}
 
     for l in range(len(config.hidden_dims)):
@@ -250,22 +278,22 @@ def forward(params: dict[str, np.ndarray], config: GatConfig, g: SubjectGraph,
             s_term = z @ a_s
             d_term = z @ a_d
             c = float(a_e @ w_e)
-            raw = s_term[:, None] + d_term[None, :] + e * c
+            raw = s_term[edges.dst] + d_term[edges.src] + edges.weight * c
             act = _leaky(raw, config.leaky_slope)
-            shifted = act - np.max(np.where(mask, act, -np.inf),
-                                   axis=1, keepdims=True)
-            exps = np.exp(np.where(mask, shifted, -np.inf))
+            exps = np.exp(act - np.maximum.reduceat(act, starts)[edges.dst])
             if order_invariant:
-                denom = _ordered_row_sum(exps, axis=1)[:, None]
+                denom = _segment_ordered_sum(exps, edges)
             else:
-                denom = exps.sum(axis=1, keepdims=True)
-            alpha = exps / denom
+                denom = np.add.reduceat(exps, starts)
+            alpha = exps / denom[edges.dst]
+            attn = sparse.csr_array((alpha, edges.src, edges.indptr),
+                                    shape=(v, v))
             if order_invariant:
-                out_k = _ordered_row_sum(alpha[:, :, None] * z[None, :, :],
-                                         axis=1)
+                out_k = _segment_ordered_sum(alpha[:, None] * z[edges.src],
+                                             edges)
             else:
-                out_k = alpha @ z
-            head_caches.append({"z": z, "raw": raw, "alpha": alpha})
+                out_k = attn @ z
+            head_caches.append({"z": z, "raw": raw, "attn": attn})
             out_sum = out_k if out_sum is None else out_sum + out_k
         h = out_sum / config.heads
         cache["heads"].append(head_caches)
@@ -279,9 +307,35 @@ def forward(params: dict[str, np.ndarray], config: GatConfig, g: SubjectGraph,
 
     cache["last"] = h
     logits = h @ params["dec.W"].T + params["dec.b"]
-    if return_cache:
-        return logits, cache
-    return logits
+    return logits, cache
+
+
+def forward(params: dict[str, np.ndarray], config: GatConfig, g: SubjectGraph,
+            dropout_rng: np.random.Generator | None = None,
+            features_override: np.ndarray | None = None,
+            return_cache: bool = False,
+            order_invariant: bool = False):
+    """Full forward pass; returns (V, 2) logits (and a backward cache).
+
+    Attention runs on the edge list of ``g.adjacency``: logits on the E
+    edges, a segment softmax per destination node, and aggregation as a
+    sparse (CSR) product.  The cache's per-head ``"raw"`` logits are per
+    edge, ``"attn"`` is the (V, V) CSR attention matrix and ``"alpha"``
+    its dense form, zero off the edges.
+
+    ``dropout_rng`` enables dropout after every attention layer.
+    ``order_invariant`` makes all neighbor reductions value-sorted so logits
+    are bit-identical under node relabeling (used by property tests; slower).
+    """
+    h = g.node_features if features_override is None else features_override
+    logits, cache = _forward(params, config, _edge_list(g), h, dropout_rng,
+                             order_invariant)
+    if not return_cache:
+        return logits
+    for layer in cache["heads"]:
+        for head in layer:
+            head["alpha"] = head["attn"].toarray()
+    return logits, cache
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray,
@@ -298,8 +352,9 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
                    dropout_rng: np.random.Generator | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Cross-entropy over train-masked nodes and exact gradients."""
-    logits, cache = forward(params, config, g, dropout_rng=dropout_rng,
-                            return_cache=True)
+    edges = _edge_list(g)
+    logits, cache = _forward(params, config, edges, g.node_features,
+                             dropout_rng, order_invariant=False)
     loss = cross_entropy(logits, g.labels, g.train_mask)
     if not np.isfinite(loss):
         raise RuntimeError(f"non-finite training loss: {loss}")
@@ -320,7 +375,7 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
     grads["dec.b"] = d_logits.sum(axis=0)
     d_h = d_logits @ params["dec.W"]
 
-    e = g.edge_weights
+    starts = edges.indptr[:-1]
     for l in reversed(range(len(config.hidden_dims))):
         scale = cache["drop"][l]
         if scale is not None:
@@ -333,16 +388,18 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
             w, a_s, a_d = params[p + "W"], params[p + "a_s"], params[p + "a_d"]
             a_e, w_e = params[p + "a_e"], params[p + "w_e"]
             hc = cache["heads"][l][k]
-            z_k, raw, alpha = hc["z"], hc["raw"], hc["alpha"]
+            z_k, raw, attn = hc["z"], hc["raw"], hc["attn"]
+            alpha = attn.data
 
-            d_alpha = d_out @ z_k.T
-            d_z = alpha.T @ d_out
-            d_logit = alpha * (d_alpha
-                               - (d_alpha * alpha).sum(axis=1, keepdims=True))
+            # one BLAS product and a gather beat a per-edge row dot product
+            d_alpha = (d_out @ z_k.T)[edges.dst, edges.src]
+            d_z = attn.T @ d_out
+            d_logit = alpha * (d_alpha - np.add.reduceat(d_alpha * alpha,
+                                                         starts)[edges.dst])
             d_g = d_logit * _leaky_grad(raw, config.leaky_slope)
-            d_s = d_g.sum(axis=1)
-            d_d = d_g.sum(axis=0)
-            d_c = float((d_g * e).sum())
+            d_s = np.add.reduceat(d_g, starts)
+            d_d = np.bincount(edges.src, weights=d_g, minlength=v)
+            d_c = float(d_g @ edges.weight)
             d_z += d_s[:, None] * a_s[None, :] + d_d[:, None] * a_d[None, :]
             grads[p + "a_s"] += z_k.T @ d_s
             grads[p + "a_d"] += z_k.T @ d_d
@@ -393,7 +450,10 @@ def ablation_importance(model: GatModel, g: SubjectGraph,
     """Rank features by validation AUROC drop when zeroed in the input.
 
     The graph edges are kept fixed during ablation so the measured drop
-    reflects the feature's contribution, not a structure change.
+    reflects the feature's contribution, not a structure change.  The
+    report's ``convergence`` holds the model's epoch count, first, last
+    and minimum training loss, and the graph's attention edge count
+    (self-loops included) and mean degree (self-loops excluded).
     """
     if not model.trained:
         raise ValueError("model has not been trained")
@@ -412,6 +472,7 @@ def ablation_importance(model: GatModel, g: SubjectGraph,
         deltas[j] = baseline - auroc(scores[val], g.labels[val])
     ranking = np.lexsort((np.arange(g.n_features), -deltas))
     theta = min(theta, g.n_features)
+    losses = model.loss_history
     return FeatureImportanceReport(
         baseline_auroc=float(baseline),
         deltas=deltas,
@@ -419,4 +480,12 @@ def ablation_importance(model: GatModel, g: SubjectGraph,
         selected=[g.feature_names[j] for j in ranking[:theta]],
         theta=theta,
         feature_names=list(g.feature_names),
+        convergence={
+            "epochs": len(losses),
+            "loss_first": losses[0] if losses else None,
+            "loss_last": losses[-1] if losses else None,
+            "loss_min": min(losses, default=None),
+            "attention_edges": int(g.adjacency.sum()),
+            "mean_degree": mean_degree(g),
+        },
     )

@@ -319,6 +319,7 @@ def run_all(cfg: dict, out_dir) -> dict:
         path = out / "feature_importance.csv"
         path.write_text(importance.to_csv(), encoding="utf-8")
         selected = importance.selected
+        manifest["gat"] = importance.convergence
         record("select_features", start, feature_importance=str(path))
 
     if stages["train"]:

@@ -66,15 +66,18 @@ def _triangle_det(points: np.ndarray) -> float:
     return float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
-def affine_from_landmarks(src_points, template_points) -> AffineTransform:
+def affine_from_landmarks(src_points, template_points, *,
+                          names: tuple[str, str] = ("source", "template")
+                          ) -> AffineTransform:
     """Affine transform mapping the three source points onto the template.
 
     Three non-collinear correspondences determine the transform uniquely;
-    collinear triples raise :class:`DegenerateLandmarksError`.
+    collinear triples raise :class:`DegenerateLandmarksError`, naming the
+    side by ``names`` (source, template).
     """
     src = np.asarray(src_points, dtype=np.float64).reshape(N_LANDMARKS, 2)
     dst = np.asarray(template_points, dtype=np.float64).reshape(N_LANDMARKS, 2)
-    for pts, name in ((src, "source"), (dst, "template")):
+    for pts, name in zip((src, dst), names):
         scale = max(float(np.ptp(pts)), 1.0)
         if abs(_triangle_det(pts)) < 1e-9 * scale * scale:
             raise DegenerateLandmarksError(f"{name} landmarks are collinear")
@@ -116,5 +119,8 @@ def build_template(landmark_sets: list[LandmarkSet]) -> np.ndarray:
 def register_stack(t: np.ndarray, subject: LandmarkSet,
                    template_points: np.ndarray) -> np.ndarray:
     """Warp a subject's stack into template space using its landmarks."""
-    inverse = affine_from_landmarks(template_points, subject.points)
+    # the inverse warp maps template coordinates onto the subject's points
+    inverse = affine_from_landmarks(
+        template_points, subject.points,
+        names=("template", f"subject {subject.subject_id} {subject.modality}"))
     return warp_stack(t, inverse)

@@ -78,6 +78,27 @@ class TestRunCommand:
         for path in manifest["artifacts"].values():
             assert Path(path).exists()
 
+    def test_manifest_records_gat_convergence(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--stage", "generate=on"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        gat_run = manifest["gat"]
+        assert gat_run["epochs"] == FAST_OVERRIDES["gat"]["epochs"]
+        for key in ("loss_first", "loss_last", "loss_min"):
+            assert np.isfinite(gat_run[key]) and gat_run[key] > 0.0
+        assert gat_run["loss_min"] <= min(gat_run["loss_first"],
+                                          gat_run["loss_last"])
+        # one self-loop per node plus both directions of each undirected pair
+        n_nodes = round(gat_run["attention_edges"]
+                        / (1.0 + gat_run["mean_degree"]))
+        assert 0 < n_nodes <= SMALL_SYNTHETIC["n_subjects"]
+        assert gat_run["attention_edges"] == pytest.approx(
+            n_nodes * (1.0 + gat_run["mean_degree"]))
+        assert (gat_run["attention_edges"] - n_nodes) % 2 == 0
+        assert abs(gat_run["mean_degree"]
+                   - FAST_OVERRIDES["gat"]["target_degree"]) <= 1.0
+
     def test_rerun_same_seed_byte_identical_report(self, tmp_path):
         cfg_path = write_config(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path),

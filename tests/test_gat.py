@@ -1,6 +1,7 @@
 """GAT tests: graph construction against a brute-force cosine oracle, a
-pencil-and-paper forward pass, finite-difference gradient checks,
-permutation equivariance, and ablation ranking.
+pencil-and-paper forward pass, a dense V x V reference of the edge-list
+attention, finite-difference gradient checks, permutation equivariance,
+and ablation ranking.
 """
 
 import numpy as np
@@ -21,6 +22,91 @@ def small_graph(seed=0, n=6, d=4, target_degree=2, informative=True):
     train[-2:] = False
     val = ~train
     return gat.build_graph(x, target_degree, labels, train, val)
+
+
+def dense_forward(params, config, g, dropout_rng=None, features_override=None):
+    """Reference attention on dense (V, V) logit, mask and alpha matrices."""
+    h = g.node_features if features_override is None else features_override
+    mask, e = g.adjacency, g.edge_weights
+    cache = {"inputs": [], "heads": [], "drop": []}
+    for l in range(len(config.hidden_dims)):
+        cache["inputs"].append(h)
+        heads, out_sum = [], 0.0
+        for k in range(config.heads):
+            p = f"l{l}.h{k}."
+            z = h @ params[p + "W"].T
+            c = float(params[p + "a_e"] @ params[p + "w_e"])
+            raw = ((z @ params[p + "a_s"])[:, None]
+                   + (z @ params[p + "a_d"])[None, :] + e * c)
+            act = np.where(raw > 0, raw, config.leaky_slope * raw)
+            shifted = act - np.max(np.where(mask, act, -np.inf),
+                                   axis=1, keepdims=True)
+            exps = np.exp(np.where(mask, shifted, -np.inf))
+            alpha = exps / exps.sum(axis=1, keepdims=True)
+            heads.append({"z": z, "raw": raw, "alpha": alpha})
+            out_sum = out_sum + alpha @ z
+        h = out_sum / config.heads
+        cache["heads"].append(heads)
+        scale = None
+        if dropout_rng is not None and config.dropout > 0:
+            keep = dropout_rng.random(h.shape) >= config.dropout
+            scale = keep / (1.0 - config.dropout)
+            h = h * scale
+        cache["drop"].append(scale)
+    cache["last"] = h
+    return h @ params["dec.W"].T + params["dec.b"], cache
+
+
+def dense_loss_and_grads(params, config, g, dropout_rng=None):
+    """Reference backward pass through :func:`dense_forward`."""
+    logits, cache = dense_forward(params, config, g, dropout_rng)
+    loss = gat.cross_entropy(logits, g.labels, g.train_mask)
+    grads = {}
+    idx = np.flatnonzero(g.train_mask)
+    z = logits[idx] - logits[idx].max(axis=1, keepdims=True)
+    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    d_logits = np.zeros((g.n_nodes, 2))
+    d_logits[idx] = probs
+    d_logits[idx, g.labels[idx]] -= 1.0
+    d_logits /= len(idx)
+    grads["dec.W"] = d_logits.T @ cache["last"]
+    grads["dec.b"] = d_logits.sum(axis=0)
+    d_h = d_logits @ params["dec.W"]
+    for l in reversed(range(len(config.hidden_dims))):
+        if cache["drop"][l] is not None:
+            d_h = d_h * cache["drop"][l]
+        d_out = d_h / config.heads
+        h_in = cache["inputs"][l]
+        d_h = np.zeros_like(h_in)
+        for k in range(config.heads):
+            p = f"l{l}.h{k}."
+            hc = cache["heads"][l][k]
+            z_k, raw, alpha = hc["z"], hc["raw"], hc["alpha"]
+            d_alpha = d_out @ z_k.T
+            d_z = alpha.T @ d_out
+            d_logit = alpha * (d_alpha
+                               - (d_alpha * alpha).sum(axis=1, keepdims=True))
+            d_g = d_logit * np.where(raw > 0, 1.0, config.leaky_slope)
+            d_s, d_d = d_g.sum(axis=1), d_g.sum(axis=0)
+            d_c = float((d_g * g.edge_weights).sum())
+            d_z += (d_s[:, None] * params[p + "a_s"][None, :]
+                    + d_d[:, None] * params[p + "a_d"][None, :])
+            grads[p + "a_s"] = z_k.T @ d_s
+            grads[p + "a_d"] = z_k.T @ d_d
+            grads[p + "a_e"] = d_c * params[p + "w_e"]
+            grads[p + "w_e"] = d_c * params[p + "a_e"]
+            grads[p + "W"] = d_z.T @ h_in
+            d_h += d_z @ params[p + "W"]
+    return loss, grads
+
+
+def isolate_node(g, v):
+    """Cut every edge of node ``v`` except its self-loop."""
+    keep = np.ones(g.n_nodes, dtype=bool)
+    keep[v] = False
+    g.adjacency[v, keep] = g.adjacency[keep, v] = False
+    g.edge_weights[v, keep] = g.edge_weights[keep, v] = 0.0
+    return g
 
 
 class TestBuildGraph:
@@ -141,6 +227,14 @@ class TestForward:
         out = gat.forward(params, cfg, g)
         np.testing.assert_allclose(out, expected_logits, atol=1e-9)
 
+    def test_missing_self_loop_rejected(self):
+        g = small_graph(seed=4, n=6)
+        g.adjacency[2, 2] = False
+        cfg = GatConfig(hidden_dims=(3,), heads=1)
+        params = gat.init_params(cfg, g.n_features, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="self-loop"):
+            gat.forward(params, cfg, g)
+
     def test_permutation_equivariance_bit_exact(self):
         g = small_graph(seed=6, n=9, target_degree=3)
         cfg = GatConfig(hidden_dims=(6, 5), heads=2, seed=0)
@@ -160,6 +254,82 @@ class TestForward:
         )
         logits_perm = gat.forward(params, cfg, g_perm, order_invariant=True)
         assert np.array_equal(logits_perm, logits[perm])
+
+
+class TestDenseOracle:
+    """The edge-list attention against :func:`dense_forward`."""
+
+    CASES = [(0, 7, False), (1, 12, True), (2, 20, False), (3, 9, True)]
+
+    @staticmethod
+    def _setup(seed, n, isolated):
+        g = small_graph(seed=seed, n=n, d=5, target_degree=3)
+        if isolated:
+            isolate_node(g, 1)
+            assert g.adjacency[1].sum() == 1
+        cfg = GatConfig(hidden_dims=(6, 5), heads=3, edge_dim=4, seed=seed)
+        params = gat.init_params(cfg, g.n_features,
+                                 np.random.default_rng(seed + 20))
+        return g, cfg, params
+
+    @pytest.mark.parametrize("seed,n,isolated", CASES)
+    def test_logits_and_attention_match(self, seed, n, isolated):
+        g, cfg, params = self._setup(seed, n, isolated)
+        expected, ref = dense_forward(params, cfg, g)
+        logits, cache = gat.forward(params, cfg, g, return_cache=True)
+        np.testing.assert_allclose(logits, expected, rtol=1e-10, atol=0)
+        for layer, ref_layer in zip(cache["heads"], ref["heads"]):
+            for head, ref_head in zip(layer, ref_layer):
+                np.testing.assert_allclose(head["alpha"], ref_head["alpha"],
+                                           rtol=1e-10)
+        ordered = gat.forward(params, cfg, g, order_invariant=True)
+        np.testing.assert_allclose(ordered, expected, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("seed,n,isolated", CASES)
+    def test_loss_and_every_gradient_match(self, seed, n, isolated, dropout):
+        g, cfg, params = self._setup(seed, n, isolated)
+        def rng():
+            return np.random.default_rng(seed + 30) if dropout else None
+
+        loss, grads = gat.loss_and_grads(params, cfg, g, dropout_rng=rng())
+        ref_loss, ref_grads = dense_loss_and_grads(params, cfg, g,
+                                                   dropout_rng=rng())
+        assert loss == pytest.approx(ref_loss, rel=1e-10)
+        assert grads.keys() == ref_grads.keys()
+        # the floor covers exactly-zero gradients (a_s: s_v is constant over
+        # v's softmax), where only summation-order noise (~1e-18) is left
+        for name in grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name],
+                                       rtol=1e-10, atol=1e-15, err_msg=name)
+
+    def test_ablation_deltas_equal_per_column_oracle(self):
+        rng = np.random.default_rng(12)
+        n = 40
+        labels = rng.integers(0, 2, n)
+        x = rng.normal(size=(n, 6))
+        x[:, 0] += 2.0 * labels
+        train = np.ones(n, dtype=bool)
+        train[-15:] = False
+        g = gat.build_graph(x, 4, labels, train, ~train)
+        model = gat.train(g, GatConfig(hidden_dims=(8,), heads=2, epochs=30,
+                                       seed=0))
+        report = gat.ablation_importance(model, g, theta=3)
+
+        def val_auroc(features):
+            logits, _ = dense_forward(model.params, model.config, g,
+                                      features_override=features)
+            scores = logits[:, 1] - logits[:, 0]
+            return auroc(scores[g.val_mask], g.labels[g.val_mask])
+
+        baseline = val_auroc(g.node_features)
+        expected = np.empty(g.n_features)
+        for j in range(g.n_features):
+            ablated = g.node_features.copy()
+            ablated[:, j] = 0.0
+            expected[j] = baseline - val_auroc(ablated)
+        assert report.baseline_auroc == baseline
+        np.testing.assert_array_equal(report.deltas, expected)
 
 
 class TestGradients:
@@ -263,6 +433,19 @@ class TestAblation:
         # ranking really is delta-descending
         deltas = report.deltas[report.ranking]
         assert all(deltas[i] >= deltas[i + 1] for i in range(len(deltas) - 1))
+
+    def test_convergence_summary(self):
+        model, g = self._trained()
+        conv = gat.ablation_importance(model, g, theta=3).convergence
+        assert conv["epochs"] == 150
+        assert conv["loss_first"] == model.loss_history[0]
+        assert conv["loss_last"] == model.loss_history[-1]
+        assert conv["loss_min"] == min(model.loss_history)
+        assert conv["attention_edges"] == g.adjacency.sum()
+        assert conv["mean_degree"] == gat.mean_degree(g)
+        model.loss_history = []  # a run configured with zero epochs
+        conv = gat.ablation_importance(model, g, theta=3).convergence
+        assert conv["epochs"] == 0 and conv["loss_min"] is None
 
     def test_untrained_model_rejected(self):
         model, g = self._trained()

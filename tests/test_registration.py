@@ -180,3 +180,12 @@ class TestRegisterStack:
         # and registration must beat the unregistered misalignment
         raw_err = np.abs(moved[4:-4, 4:-4, 0] - stack[4:-4, 4:-4, 0])
         assert err.max() < 0.25 * raw_err.max()
+
+    def test_collinear_subject_named_in_error(self):
+        subject = LandmarkSet("s7", "four_chamber",
+                              np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+                              np.zeros(3))
+        with pytest.raises(DegenerateLandmarksError,
+                           match="^subject s7 four_chamber landmarks are "
+                                 "collinear$"):
+            register_stack(np.zeros((8, 8, 1)), subject, TRIANGLE)
