@@ -1,0 +1,212 @@
+"""Micro-benchmark of the train-stage kernels on fixed seeded inputs.
+
+Usage, from the repository root:
+
+    python3 benchmarks/kernels.py --out BENCH.json
+    python3 benchmarks/kernels.py --baseline-src ../other/src --out BENCH.json
+
+Times ``svm.train_linear`` (200 x 210, C = 0.1, 15 epochs, as in a CV fit
+of the benchmark's ``default`` workload), ``mpca.fit`` (280 stacks of
+32 x 32 x 8, one refinement pass) and ``tensor3.mode_n_product`` (a
+32 x 32 x 8 stack by a 30 x 32, 30 x 32 and 8 x 8 matrix along modes 1, 2
+and 3).  With ``--baseline-src`` a second source tree is imported beside
+this one under another package name; each round times every kernel once
+in each tree, alternating which tree goes first, so drift in the
+machine's speed reaches both alike.  The minimum over ``--repeats``
+rounds is reported, with every sample, and whether the baseline's output
+equals this tree's bit for bit.
+
+BLAS runs on one thread (``OPENBLAS_NUM_THREADS`` and its siblings are set
+before numpy loads); the JSON records the thread count OpenBLAS reports,
+``nproc``, the numpy, scipy and BLAS versions, and for each tree its git
+sha, whether its ``src`` differs from that commit, and a digest of its
+sources.
+This script is not a test and no CI step runs it.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import ctypes  # noqa: E402
+import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tree(src: Path, alias: str) -> dict:
+    """Import ``src/cardiofuse`` as package ``alias``; its kernel modules."""
+    pkg = src / "cardiofuse"
+    spec = importlib.util.spec_from_file_location(
+        alias, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return {name: importlib.import_module(f"{alias}.{name}")
+            for name in ("svm", "mpca", "tensor3")}
+
+
+def inputs() -> dict:
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 210))
+    y = (x[:, :5].sum(axis=1) + rng.normal(scale=2.0, size=200) > 0)
+    basis = rng.normal(size=(32, 32, 8))
+    stacks = [basis * rng.normal() + 0.5 * rng.normal(size=(32, 32, 8))
+              for _ in range(280)]
+    mats = {1: rng.normal(size=(30, 32)), 2: rng.normal(size=(30, 32)),
+            3: rng.normal(size=(8, 8))}
+    return {"x": x, "y": y.astype(np.int64), "stacks": stacks,
+            "tensor": stacks[0], "mats": mats}
+
+
+PRODUCT_CALLS = 300  # mode products per sample: one call is ~10 us
+
+
+def kernels(mods: dict, data: dict) -> dict:
+    """name -> (input, fn returning the output arrays, calls per fn)."""
+    svm, mpca, tensor3 = mods["svm"], mods["mpca"], mods["tensor3"]
+
+    def train():
+        clf = svm.train_linear(data["x"], data["y"], C=0.1, epochs=15, seed=0)
+        return [clf.weights, np.array([clf.bias])]
+
+    def fit():
+        # the scatter trace is summed in another order now (equal to 1e-12
+        # relative, see tests/test_mpca.py), so only projections are compared
+        return mpca.fit(data["stacks"], max_iters=1).projections
+
+    def products():
+        out = []
+        for _ in range(PRODUCT_CALLS // 3):
+            out = [tensor3.mode_n_product(data["tensor"], m, n)
+                   for n, m in data["mats"].items()]
+        return out
+
+    return {
+        "svm.train_linear": ("200x210, C=0.1, 15 epochs", train, 1),
+        "mpca.fit": ("280 x 32x32x8, max_iters=1", fit, 1),
+        "tensor3.mode_n_product": ("32x32x8 by 30x32 / 30x32 / 8x8, per call",
+                                   products, PRODUCT_CALLS),
+    }
+
+
+def git_state(src: Path) -> dict:
+    """HEAD of the checkout holding ``src``, and whether ``src`` differs."""
+    def git(*cmd):
+        proc = subprocess.run(["git", "-C", str(src), *cmd],
+                              capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    return {"git_sha": sha,
+            "src_modified": None if sha is None
+            else bool(git("status", "--porcelain", "--", "."))}
+
+
+def src_digest(src: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((src / "cardiofuse").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def blas_threads_in_use() -> int | None:
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def timed_ms(fn, calls: int) -> float:
+    start = time.perf_counter()
+    fn()
+    return 1e3 * (time.perf_counter() - start) / calls
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--baseline-src", type=Path,
+                   help="the src directory of a second tree to time")
+    p.add_argument("--repeats", type=int, default=7,
+                   help="rounds; the minimum over them is reported")
+    p.add_argument("--out", type=Path, required=True, help="JSON result")
+    args = p.parse_args(argv)
+
+    data = inputs()
+    trees = {"current": ROOT / "src"}
+    if args.baseline_src is not None:
+        trees["baseline"] = args.baseline_src.resolve()
+    suites = {tag: kernels(load_tree(src, f"cardiofuse_{tag}"), data)
+              for tag, src in trees.items()}
+
+    samples = {name: {tag: [] for tag in trees} for name in suites["current"]}
+    outputs = {name: {} for name in samples}
+    for name in samples:  # warm-up: imports, caches, first-call costs
+        for tag in trees:
+            outputs[name][tag] = suites[tag][name][1]()
+    for r in range(args.repeats):
+        order = list(trees) if r % 2 == 0 else list(reversed(trees))
+        for name in samples:
+            for tag in order:
+                _, fn, calls = suites[tag][name]
+                samples[name][tag].append(timed_ms(fn, calls))
+
+    results = {}
+    for name, (shape, _, _) in suites["current"].items():
+        entry = {"input": shape}
+        for tag in trees:
+            entry[f"{tag}_min_ms"] = min(samples[name][tag])
+            entry[f"{tag}_samples_ms"] = [round(s, 4) for s in samples[name][tag]]
+        if "baseline" in trees:
+            entry["speedup"] = entry["baseline_min_ms"] / entry["current_min_ms"]
+            entry["bit_identical"] = all(
+                np.array_equal(a, b) for a, b in zip(outputs[name]["current"],
+                                                     outputs[name]["baseline"]))
+        results[name] = entry
+        print(f"{name:<24} " + "  ".join(
+            f"{tag} {entry[f'{tag}_min_ms']:9.3f} ms" for tag in trees)
+            + (f"  x{entry['speedup']:.2f}  identical {entry['bit_identical']}"
+               if "baseline" in trees else ""))
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    report = {
+        "repeats": args.repeats,
+        "trees": {tag: {**git_state(src), "src_sha256": src_digest(src)}
+                  for tag, src in trees.items()},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": blas_threads_in_use(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+        "kernels": results,
+    }
+    args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -100,8 +101,10 @@ def cmd_compare(args) -> int:
         name, segments = _load_report(Path(path))
         entry = {"name": name}
         for metric in ("auroc", "accuracy", "mcc"):
-            values = [seg[metric] for seg in segments]
-            entry[metric] = float(np.mean(values))
+            # a single-class segment has no AUROC (None); it is left out
+            values = [seg[metric] for seg in segments
+                      if seg[metric] is not None]
+            entry[metric] = float(np.mean(values)) if values else math.nan
             entry[metric + "_std"] = (float(np.std(values, ddof=1))
                                       if len(values) >= 2 else 0.0)
         rows.append(entry)

@@ -16,14 +16,14 @@ read; callers join returned test scores with labels at metric time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import mpca
 from .data import StudyTable, Subject
-from .svm import (DEFAULT_C_GRID, LinearClassifier, decision_scores,
-                  grid_search_cv, train_linear)
+from .svm import (DEFAULT_C_GRID, CvGridResult, LinearClassifier,
+                  decision_scores, grid_search_cv, train_linear)
 
 STRATEGIES = ("early", "intermediate", "late", "hybrid_early",
               "hybrid_intermediate")
@@ -72,6 +72,22 @@ class BranchResult:
     classifier: LinearClassifier | None = None
     late_stats: tuple[float, float] | None = None  # (centre, scale)
     late_weight: float | None = None               # normalized
+    cv: CvGridResult | None = None                 # None under fixed_c
+    mpca_models: list[mpca.MpcaModel] | None = None  # imaging branches
+
+    def manifest(self) -> dict:
+        return {
+            "name": self.name, "chosen_c": self.chosen_c, "kappa": self.kappa,
+            "cv_grid": None if self.cv is None else self.cv.grid,
+            "cv_mean_aurocs": None if self.cv is None else self.cv.mean_aurocs,
+            "late_centre": self.late_stats[0], "late_scale": self.late_stats[1],
+            "late_weight": self.late_weight,
+            "mpca": None if self.mpca_models is None else [
+                {"target_dims": list(m.target_dims),
+                 "scatter_trace": list(m.scatter_trace)}
+                for m in self.mpca_models
+            ],
+        }
 
 
 @dataclass
@@ -88,12 +104,7 @@ class RunResult:
             "strategy": self.plan.strategy,
             "modalities": list(self.plan.modalities),
             "branch_count": len(self.branches),
-            "branches": [
-                {"name": b.name, "chosen_c": b.chosen_c, "kappa": b.kappa,
-                 "late_centre": b.late_stats[0], "late_scale": b.late_stats[1],
-                 "late_weight": b.late_weight}
-                for b in self.branches
-            ],
+            "branches": [b.manifest() for b in self.branches],
         }
 
 
@@ -105,9 +116,6 @@ def early_concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"cannot concatenate dims {a.shape} and {b.shape}")
     return np.concatenate([a, b], axis=2)
 
-
-# latent concatenation is the same index map, applied to projected tensors
-intermediate_concat = early_concat
 
 
 def _normalized(weights, n_branches: int) -> np.ndarray:
@@ -188,7 +196,11 @@ def _splits(study: StudyTable) -> dict[str, list[Subject]]:
 
 def _imaging_features(splits, modalities: list[str], mode: str,
                       config: PipelineConfig):
-    """Extract flat Fisher-selected features per split for one imaging branch."""
+    """Flat Fisher-selected features per split for one imaging branch.
+
+    Returns ``(selected, kappa, models)``: a function from subjects to
+    their feature matrix, the feature count, and the fitted MPCA models.
+    """
     def gather(subjects):
         out = []
         for s in subjects:
@@ -232,16 +244,11 @@ def _imaging_features(splits, modalities: list[str], mode: str,
             for tensors in per_mod
         ]
         def features(subjects):
+            # mode-3 concatenation of the latents, for all subjects at once
             stacks = gather(subjects)
-            rows = []
-            for ts in stacks:
-                latents = [mpca.transform(models[i], ts[i])
-                           for i in range(len(modalities))]
-                combined = latents[0]
-                for lat in latents[1:]:
-                    combined = intermediate_concat(combined, lat)
-                rows.append(combined.ravel())
-            return np.stack(rows)
+            latents = [np.stack([mpca.transform(model, ts[i]) for ts in stacks])
+                       for i, model in enumerate(models)]
+            return np.concatenate(latents, axis=3).reshape(len(stacks), -1)
     else:
         raise ValueError(f"unknown imaging fusion mode {mode!r}")
 
@@ -312,12 +319,14 @@ def run_plan(plan: FusionPlan, study: StudyTable,
     y_train = np.asarray([s.label for s in splits["train"]], dtype=np.int64)
     branches = []
     for name, modalities, mode in _branch_specs(plan):
+        models = None
         if mode == EHR:
             selected, kappa = _ehr_features(splits, study, config)
         else:
-            selected, kappa, _ = _imaging_features(splits, modalities, mode,
-                                                   config)
+            selected, kappa, models = _imaging_features(splits, modalities,
+                                                        mode, config)
         x_train = selected(splits["train"])
+        cv = None
         if config.fixed_c is not None:
             chosen_c = config.fixed_c
         else:
@@ -333,7 +342,8 @@ def run_plan(plan: FusionPlan, study: StudyTable,
         }
         branches.append(BranchResult(name=name, chosen_c=float(chosen_c),
                                      kappa=kappa, scores=scores,
-                                     classifier=clf))
+                                     classifier=clf, cv=cv,
+                                     mpca_models=models))
 
     y_val = np.asarray([s.label for s in splits["validation"]], dtype=np.int64)
     stats, weights = fit_late_fusion([b.scores["train"] for b in branches],

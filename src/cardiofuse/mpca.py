@@ -3,7 +3,10 @@
 One orthonormal projection matrix is learned per mode by maximizing the
 total scatter of the projected, mean-centered samples.  Projected tensors
 are flattened in canonical layout and ranked with per-feature Fisher
-scores; only the top ``kappa`` features feed the classifier.
+scores; only the top ``kappa`` features feed the classifier.  The scatter
+the projections capture is read off the scatter matrices the fit computes
+anyway, as ``trace(U_n^T S_n U_n)``; the samples are never projected
+through all three modes during a fit.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor3 import frobenius_sq, mode_n_product, mode_n_unfold
+from .tensor3 import mode_n_product, mode_n_unfold
 
 DEFAULT_KAPPA = 210
 DEFAULT_VARIANCE_FRACTION = 0.97
@@ -76,18 +79,13 @@ def _mode_scatter(samples: list[np.ndarray], mode: int,
     return scatter
 
 
-def _captured_scatter(samples: list[np.ndarray],
-                      projections: list[np.ndarray]) -> float:
-    total = 0.0
-    for s in samples:
-        y = s
-        for n, u in enumerate(projections, start=1):
-            y = mode_n_product(y, u.T, n)
-        total += frobenius_sq(y)
-    return total
+def _captured(scatter: np.ndarray, u: np.ndarray) -> float:
+    """``trace(U^T S U)``: the scatter kept by all three projections when
+    ``scatter`` is the mode-n scatter after projecting the other modes."""
+    return float(np.sum(u * (scatter @ u)))
 
 
-def fit(samples: list[np.ndarray], labels=None,
+def fit(samples: list[np.ndarray],
         variance_fraction: float = DEFAULT_VARIANCE_FRACTION,
         max_iters: int = 1,
         target_dims: tuple[int, int, int] | None = None) -> MpcaModel:
@@ -97,8 +95,13 @@ def fit(samples: list[np.ndarray], labels=None,
     mode-n scatter of the centered samples, then refined by ``max_iters``
     alternating passes.  ``J_n`` is the smallest count whose eigenvalue
     mass reaches ``variance_fraction`` of the mode-n total, unless
-    ``target_dims`` forces the output shape.  ``labels`` are unused here
-    (ranking is a separate step) but accepted for pipeline symmetry.
+    ``target_dims`` forces the output shape.
+
+    ``scatter_trace`` holds the captured scatter before the first pass and
+    after each pass.  No extra projection of the samples is made for it:
+    the first pass's mode-1 scatter gives the entry before it, and each
+    pass's mode-3 scatter the entry after it (with ``max_iters=0`` that
+    one mode-1 scatter is still computed, for the single entry).
     """
     if len(samples) < 2:
         raise ValueError("MPCA needs at least 2 samples")
@@ -132,14 +135,15 @@ def fit(samples: list[np.ndarray], labels=None,
         _, vecs = _top_eigvecs(scatter, j_n)
         projections[n - 1] = vecs
 
-    trace = [_captured_scatter(centered, projections)]
-
-    for _ in range(max_iters):
+    scatter = _mode_scatter(centered, 1, projections)
+    trace = [_captured(scatter, projections[0])]
+    for it in range(max_iters):
         for n in (1, 2, 3):
-            scatter = _mode_scatter(centered, n, projections)
+            if it or n > 1:  # the first pass starts from the scatter above
+                scatter = _mode_scatter(centered, n, projections)
             _, vecs = _top_eigvecs(scatter, projections[n - 1].shape[1])
             projections[n - 1] = vecs
-        trace.append(_captured_scatter(centered, projections))
+        trace.append(_captured(scatter, projections[2]))
 
     return MpcaModel(
         projections=projections,

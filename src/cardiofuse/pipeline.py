@@ -223,7 +223,11 @@ def stage_train(study: StudyTable, cfg: dict,
 
 
 def segment_metrics(result: RunResult, study: StudyTable) -> list[dict]:
-    """Per-test-segment AUROC / accuracy / MCC of the fused scores."""
+    """Per-test-segment AUROC / accuracy / MCC of the fused scores.
+
+    AUROC is undefined for a segment whose subjects all share one class:
+    its ``auroc`` is None and ``auroc_undefined`` says why.
+    """
     by_id = {s.id: s for s in study.subjects}
     labels = np.asarray([by_id[sid].label for sid in result.ids["test"]],
                         dtype=np.int64)
@@ -235,13 +239,20 @@ def segment_metrics(result: RunResult, study: StudyTable) -> list[dict]:
         idx = segments == seg
         preds = (scores[idx] > 0).astype(np.int64)
         conf = metrics.confusion(preds, labels[idx])
-        rows.append({
+        row = {
             "segment": int(seg),
             "n": int(idx.sum()),
-            "auroc": metrics.auroc(scores[idx], labels[idx]),
+            "auroc": None,
             "accuracy": metrics.accuracy(preds, labels[idx]),
             "mcc": metrics.mcc(conf),
-        })
+        }
+        classes = np.unique(labels[idx])
+        if len(classes) == 2:
+            row["auroc"] = metrics.auroc(scores[idx], labels[idx])
+        else:
+            row["auroc_undefined"] = (f"every subject in the segment has"
+                                      f" label {int(classes[0])}")
+        rows.append(row)
     return rows
 
 

@@ -9,7 +9,8 @@ every fusion branch gets identical treatment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,6 +95,16 @@ def train_linear(features: np.ndarray, labels, C: float = 1.0,
     bias-frozen passes (where the w subproblem is the pure strongly convex
     Pegasos objective) with the bias recentered exactly after every epoch.
     Each phase restarts the step-size schedule from the best iterate.
+
+    The per-sample step runs in the interpreter, so it keeps numpy calls
+    few and cheap: rows come from a list, labels are Python floats, dot
+    products use ``ndarray.dot`` and the norm is ``sqrt(w.dot(w))``, which
+    is how ``np.linalg.norm`` computes a 1-D float64 norm.  Every update
+    keeps its operation order, so the fit is bit-for-bit the same as with
+    array indexing and ``np.linalg.norm``.  Fused or BLAS axpy updates (or
+    a scaled ``w = s * v`` form) would change the rounding, and a sample
+    that ``_recenter_bias`` puts exactly on the margin would then flip
+    sides of ``margin < 1``.
     """
     x_raw = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -114,6 +125,8 @@ def train_linear(features: np.ndarray, labels, C: float = 1.0,
     lam = 1.0 / (C * m)
     radius = 1.0 / np.sqrt(lam)
     rng = np.random.default_rng(seed)
+    rows = list(x)
+    y_list = y_pm.tolist()
     w = np.zeros(n_feat)
     b = 0.0
     best = (hinge_objective(w, b, x, y_pm, C), w.copy(), b)
@@ -122,16 +135,17 @@ def train_linear(features: np.ndarray, labels, C: float = 1.0,
     for phase, length in enumerate(phase_lengths):
         t = 0
         for _ in range(length):
-            for i in rng.permutation(m):
+            for i in rng.permutation(m).tolist():
                 t += 1
                 eta = 1.0 / (lam * t)
-                margin = y_pm[i] * (x[i] @ w + b)
+                xi, yi = rows[i], y_list[i]
+                margin = yi * (xi.dot(w) + b)
                 w *= 1.0 - eta * lam
                 if margin < 1.0:
-                    w += eta * y_pm[i] * x[i]
+                    w += eta * yi * xi
                     if phase == 0:
-                        b += eta * y_pm[i]
-                norm = np.linalg.norm(w)
+                        b += eta * yi
+                norm = math.sqrt(w.dot(w))
                 if norm > radius:
                     w *= radius / norm
             b_star = _recenter_bias(w, b, x, y_pm, C)

@@ -8,7 +8,8 @@ the canonical flat layout is last-index-fastest,
 Unfolding convention: ``mode_n_unfold(t, n)`` has ``I_n`` rows; the columns
 run over the remaining modes in increasing mode order with the *last*
 remaining mode varying fastest (i.e. the canonical layout restricted to the
-remaining modes).  ``mode_n_fold`` inverts it exactly.
+remaining modes).  ``mode_n_fold`` inverts it exactly.  Both are one fixed
+axis permutation plus a reshape (pure data movement, no arithmetic).
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 _MODES = (1, 2, 3)
+# axis order that brings mode n to the front, and the order that undoes it
+_UNFOLD_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
+_FOLD_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (1, 2, 0)}
 
 
 def as_tensor3(data) -> np.ndarray:
@@ -36,19 +40,26 @@ def _check_mode(n: int) -> None:
         raise ValueError(f"mode index must be 1, 2 or 3, got {n}")
 
 
+def _unfold(t: np.ndarray, n: int) -> np.ndarray:
+    return np.ascontiguousarray(t.transpose(_UNFOLD_AXES[n])).reshape(
+        t.shape[n - 1], -1)
+
+
+def _fold(m: np.ndarray, n: int, dims) -> np.ndarray:
+    moved = [dims[k] for k in _UNFOLD_AXES[n]]
+    return np.ascontiguousarray(m.reshape(moved).transpose(_FOLD_AXES[n]))
+
+
 def mode_n_unfold(t: np.ndarray, n: int) -> np.ndarray:
     """Mode-n unfolding: (I_n, prod of remaining dims) matrix."""
     _check_mode(n)
-    t = np.asarray(t, dtype=np.float64)
-    return np.ascontiguousarray(np.moveaxis(t, n - 1, 0)).reshape(t.shape[n - 1], -1)
+    return _unfold(np.asarray(t, dtype=np.float64), n)
 
 
 def mode_n_fold(m: np.ndarray, n: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`mode_n_unfold` for a tensor of shape ``dims``."""
     _check_mode(n)
-    m = np.asarray(m, dtype=np.float64)
-    moved = [dims[n - 1]] + [d for k, d in enumerate(dims) if k != n - 1]
-    return np.ascontiguousarray(np.moveaxis(m.reshape(moved), 0, n - 1))
+    return _fold(np.asarray(m, dtype=np.float64), n, dims)
 
 
 def mode_n_product(t: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
@@ -62,7 +73,7 @@ def mode_n_product(t: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
         )
     dims = list(t.shape)
     dims[n - 1] = m.shape[0]
-    return mode_n_fold(m @ mode_n_unfold(t, n), n, tuple(dims))
+    return _fold(m @ _unfold(t, n), n, dims)
 
 
 def multi_mode_product(t: np.ndarray, mats: dict[int, np.ndarray]) -> np.ndarray:

@@ -99,6 +99,27 @@ class TestRunCommand:
         assert abs(gat_run["mean_degree"]
                    - FAST_OVERRIDES["gat"]["target_degree"]) <= 1.0
 
+    def test_run_manifest_records_cv_curve_and_mpca(self, tmp_path):
+        cfg_path = write_config(tmp_path, svm={"fixed_c": None, "epochs": 5,
+                                               "folds": 3,
+                                               "grid": [0.01, 1.0]})
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--stage", "generate=on"]) == 0
+        run = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        imaging, ehr = run["branches"]
+        for branch in (imaging, ehr):
+            assert branch["cv_grid"] == [0.01, 1.0]
+            assert len(branch["cv_mean_aurocs"]) == 2
+            assert all(0.0 <= a <= 1.0 for a in branch["cv_mean_aurocs"])
+        assert ehr["mpca"] is None
+        assert len(imaging["mpca"]) == 2  # short-axis and four-chamber
+        for model in imaging["mpca"]:
+            assert model["target_dims"] == imaging["mpca"][0]["target_dims"]
+            # one entry before the refinement pass and one after it
+            assert len(model["scatter_trace"]) == 2
+            assert model["scatter_trace"][1] >= model["scatter_trace"][0] * (
+                1 - 1e-9)
+
     def test_rerun_same_seed_byte_identical_report(self, tmp_path):
         cfg_path = write_config(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path),
@@ -141,6 +162,47 @@ class TestRunCommand:
                         + stages) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["seed"] == 77
+
+
+class TestSingleClassSegment:
+    def test_segment_auroc_undefined_not_fatal(self):
+        from types import SimpleNamespace
+        study = SimpleNamespace(subjects=[
+            SimpleNamespace(id=f"s{i}", label=label)
+            for i, label in enumerate([0, 1, 1, 1])])
+        result = SimpleNamespace(ids={"test": ["s0", "s1", "s2", "s3"]},
+                                 fused_scores={"test": np.array(
+                                     [-1.0, 2.0, 0.5, -0.5])},
+                                 segments=[1, 1, 2, 2])
+        first, second = pipeline.segment_metrics(result, study)
+        assert first["auroc"] == 1.0 and "auroc_undefined" not in first
+        assert second["auroc"] is None
+        assert second["auroc_undefined"] == ("every subject in the segment"
+                                             " has label 1")
+        assert second["n"] == 2 and second["accuracy"] == 0.5
+
+    def test_run_with_single_class_segments_completes(self, tmp_path,
+                                                      capsys):
+        # 80 subjects in 12 test segments leave some segments one-class
+        cfg_path = write_config(
+            tmp_path, synthetic=dict(SMALL_SYNTHETIC, n_subjects=80),
+            split={"test_segments": 12})
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--stage", "generate=on"]) == 0
+        out = tmp_path / "out"
+        assert (out / "manifest.json").exists()
+        segments = json.loads((out / "segment_metrics.json").read_text())
+        undefined = [s for s in segments if s["auroc"] is None]
+        assert undefined and len(undefined) < len(segments)
+        for s in undefined:
+            assert s["auroc_undefined"].startswith("every subject")
+        # compare averages the segments that have an AUROC
+        assert cli.main(["compare", str(out / "manifest.json"),
+                         "--out-dir", str(tmp_path / "cmp")]) == 0
+        defined = [s["auroc"] for s in segments if s["auroc"] is not None]
+        row = (tmp_path / "cmp" / "comparison.csv").read_text().split("\n")[1]
+        assert float(row.split(",")[1]) == pytest.approx(np.mean(defined),
+                                                         rel=1e-5)
 
 
 class TestStageSubcommands:

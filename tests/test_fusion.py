@@ -5,12 +5,11 @@ plan validation, and run_plan behavior on a small synthetic study.
 import numpy as np
 import pytest
 
-from cardiofuse import pipeline, synthetic
+from cardiofuse import fusion, mpca, pipeline, synthetic
 from cardiofuse.data import (StudyTable, carve_validation,
                              chronological_split, clean_tabular, load_study)
 from cardiofuse.fusion import (FusionPlan, PipelineConfig, early_concat,
-                               fit_late_fusion, intermediate_concat, late_fuse,
-                               run_plan)
+                               fit_late_fusion, late_fuse, run_plan)
 from cardiofuse.metrics import auroc
 from cardiofuse.tensor3 import frobenius_sq
 
@@ -52,9 +51,6 @@ class TestConcat:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             early_concat(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
-
-    def test_intermediate_is_same_index_map(self):
-        assert intermediate_concat is early_concat
 
 
 class TestLateFuse:
@@ -241,6 +237,33 @@ class TestRunPlan:
         result = run_plan(FusionPlan("intermediate", [SA, FC]), small_study,
                           FAST)
         assert result.branches[0].kappa is not None
+
+    def test_intermediate_latents_use_early_index_map(self, small_study):
+        """The batched latent concatenation equals ``early_concat`` of each
+        subject's two projected tensors, bit for bit."""
+        splits = fusion._splits(small_study)
+        config = PipelineConfig(kappa=10 ** 6)  # keep every latent feature
+        selected, kappa, models = fusion._imaging_features(
+            splits, [SA, FC], "intermediate", config)
+
+        def per_subject(subjects):
+            return np.stack([
+                early_concat(mpca.transform(models[0], s.tensors[SA]),
+                             mpca.transform(models[1], s.tensors[FC])).ravel()
+                for s in subjects])
+
+        train = per_subject(splits["train"])
+        assert kappa == train.shape[1]
+        order, _ = mpca.fisher_rank(train, [s.label for s in splits["train"]])
+        np.testing.assert_array_equal(selected(splits["validation"]),
+                                      per_subject(splits["validation"])[:, order])
+
+    def test_manifest_cv_null_under_fixed_c(self, small_study):
+        result = run_plan(FusionPlan("early", [SA]), small_study, FAST)
+        (entry,) = result.manifest()["branches"]
+        assert entry["cv_grid"] is None and entry["cv_mean_aurocs"] is None
+        assert entry["chosen_c"] == FAST.fixed_c
+        assert len(entry["mpca"]) == 1
 
     def test_deterministic(self, small_study):
         plan = FusionPlan("hybrid_early", [SA, FC, EHR])

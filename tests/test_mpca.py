@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cardiofuse import mpca
-from cardiofuse.tensor3 import frobenius_sq, multi_mode_product
+from cardiofuse.tensor3 import frobenius_sq, mode_n_product, multi_mode_product
 
 
 def random_samples(n, dims, seed):
@@ -28,6 +28,71 @@ def captured_scatter_oracle(samples, projections):
     mats = {n + 1: projections[n].T for n in range(3)}
     return sum(frobenius_sq(multi_mode_product(s - mean, mats))
                for s in samples)
+
+
+def reference_fit(samples, variance_fraction=mpca.DEFAULT_VARIANCE_FRACTION,
+                  max_iters=1, target_dims=None):
+    """``mpca.fit`` with every trace entry computed by projecting all
+    samples through the three modes: the reference (projections, trace)."""
+    def captured_scatter(samples, projections):
+        total = 0.0
+        for s in samples:
+            y = s
+            for n, u in enumerate(projections, start=1):
+                y = mode_n_product(y, u.T, n)
+            total += frobenius_sq(y)
+        return total
+
+    dims = samples[0].shape
+    mean_tensor = np.mean(samples, axis=0)
+    centered = [np.asarray(s, dtype=np.float64) - mean_tensor for s in samples]
+
+    projections = [None, None, None]
+    for n in (1, 2, 3):
+        scatter = mpca._mode_scatter(centered, n, [None, None, None])
+        vals, _ = mpca._top_eigvecs(scatter, dims[n - 1])
+        if target_dims is not None:
+            j_n = int(target_dims[n - 1])
+        else:
+            mass = np.cumsum(np.maximum(vals, 0.0))
+            total = mass[-1]
+            if total <= 0:
+                j_n = 1
+            else:
+                j_n = int(np.searchsorted(mass, variance_fraction * total) + 1)
+                j_n = min(j_n, dims[n - 1])
+        _, vecs = mpca._top_eigvecs(scatter, j_n)
+        projections[n - 1] = vecs
+
+    trace = [captured_scatter(centered, projections)]
+
+    for _ in range(max_iters):
+        for n in (1, 2, 3):
+            scatter = mpca._mode_scatter(centered, n, projections)
+            _, vecs = mpca._top_eigvecs(scatter, projections[n - 1].shape[1])
+            projections[n - 1] = vecs
+        trace.append(captured_scatter(centered, projections))
+    return projections, trace
+
+
+class TestReferenceFit:
+    """Projections bit-identical to the reference; the trace, now read off
+    the refinement's own scatters, equal to 1e-12 relative."""
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 3])
+    @pytest.mark.parametrize("target_dims", [None, (3, 2, 4)])
+    def test_matches_reference(self, max_iters, target_dims):
+        samples = random_samples(16, (6, 5, 7), seed=20)
+        model = mpca.fit(samples, variance_fraction=0.9, max_iters=max_iters,
+                         target_dims=target_dims)
+        projections, trace = reference_fit(samples, variance_fraction=0.9,
+                                           max_iters=max_iters,
+                                           target_dims=target_dims)
+        for u, ref in zip(model.projections, projections):
+            assert np.array_equal(u, ref)
+        assert len(model.scatter_trace) == len(trace) == max_iters + 1
+        np.testing.assert_allclose(model.scatter_trace, trace, rtol=1e-12,
+                                   atol=0.0)
 
 
 class TestFit:

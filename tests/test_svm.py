@@ -209,3 +209,74 @@ class TestCrossValidation:
                                     folds=4, epochs=100)
         if len(set(result.mean_aurocs)) == 1:
             assert result.chosen_c == 0.001
+
+
+def reference_train_linear(features, labels, C=1.0, epochs=300, seed=0):
+    """The Pegasos loop written with array indexing and
+    ``np.linalg.norm``: the bit-exact reference for ``train_linear``."""
+    x_raw = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    mean, std = svm._standardize_fit(x_raw)
+    x = (x_raw - mean) / std
+    y_pm = np.where(y == 1, 1.0, -1.0)
+    m, n_feat = x.shape
+
+    lam = 1.0 / (C * m)
+    radius = 1.0 / np.sqrt(lam)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(n_feat)
+    b = 0.0
+    best = (svm.hinge_objective(w, b, x, y_pm, C), w.copy(), b)
+    phase_lengths = [len(chunk) for chunk in
+                     np.array_split(np.arange(epochs), min(4, epochs))]
+    for phase, length in enumerate(phase_lengths):
+        t = 0
+        for _ in range(length):
+            for i in rng.permutation(m):
+                t += 1
+                eta = 1.0 / (lam * t)
+                margin = y_pm[i] * (x[i] @ w + b)
+                w *= 1.0 - eta * lam
+                if margin < 1.0:
+                    w += eta * y_pm[i] * x[i]
+                    if phase == 0:
+                        b += eta * y_pm[i]
+                norm = np.linalg.norm(w)
+                if norm > radius:
+                    w *= radius / norm
+            b_star = svm._recenter_bias(w, b, x, y_pm, C)
+            obj = svm.hinge_objective(w, b_star, x, y_pm, C)
+            if obj < best[0]:
+                best = (obj, w.copy(), b_star)
+        w, b = best[1].copy(), best[2]
+
+    _, w, b = best
+    return w, float(b)
+
+
+class TestBitExactReference:
+    """``train_linear`` matches the reference loop bit for bit.
+
+    C = 0.1 at 15 epochs is the case a rescaled form ``w = s * v`` fails:
+    ``_recenter_bias`` puts a sample exactly on the margin, and a one-ulp
+    change flips ``margin < 1``.
+    """
+
+    @staticmethod
+    def problem(seed):
+        # overlapping classes, wider than tall in places: many margin
+        # violations and an active norm projection
+        rng = np.random.default_rng(100 + seed)
+        x = rng.normal(size=(80, 40))
+        y = (x[:, :3].sum(axis=1) + rng.normal(scale=1.5, size=80) > 0)
+        return x, y.astype(np.int64)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("epochs", [1, 15, 100])
+    @pytest.mark.parametrize("C", [0.001, 0.01, 0.1, 1.0])
+    def test_weights_and_bias_equal(self, C, epochs, seed):
+        x, y = self.problem(seed)
+        clf = svm.train_linear(x, y, C=C, epochs=epochs, seed=seed)
+        w, b = reference_train_linear(x, y, C=C, epochs=epochs, seed=seed)
+        assert np.array_equal(clf.weights, w)
+        assert clf.bias == b

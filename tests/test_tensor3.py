@@ -167,3 +167,21 @@ class TestFrobenius:
                 out = mode_n_product(out, random_orthonormal(dims[n - 1], rng), n)
             rel = abs(frobenius_sq(out) - frobenius_sq(t)) / frobenius_sq(t)
             assert rel < 1e-10
+
+
+class TestMoveaxisFormulation:
+    """The fixed per-mode permutations equal the ``np.moveaxis`` form."""
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (5, 1, 3), (4, 6, 2)])
+    def test_unfold_and_fold_equal_moveaxis(self, dims):
+        t = np.random.default_rng(30).normal(size=dims)
+        for n in (1, 2, 3):
+            unfolded = mode_n_unfold(t, n)
+            expected = np.moveaxis(t, n - 1, 0).reshape(dims[n - 1], -1)
+            assert np.array_equal(unfolded, expected)
+            assert unfolded.flags.c_contiguous
+            moved = [dims[n - 1]] + [d for k, d in enumerate(dims) if k != n - 1]
+            folded = mode_n_fold(expected, n, dims)
+            assert np.array_equal(folded, np.moveaxis(expected.reshape(moved),
+                                                      0, n - 1))
+            assert folded.flags.c_contiguous
