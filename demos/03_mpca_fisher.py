@@ -46,10 +46,3 @@ def separation(x):
 print(f"\nclass-mean separation: all {features.shape[1]} features "
       f"{separation(features):.3f}, top {kappa} {separation(kept):.3f}")
 
-# Models round-trip through a compact binary file.
-mpca.rank_and_attach(model, features, labels, kappa=kappa)
-mpca.save(model, "/tmp/demo_mpca.bin")
-loaded = mpca.load("/tmp/demo_mpca.bin")
-print(f"\nsaved + reloaded model: kappa={loaded.kappa}, "
-      f"projections equal: "
-      f"{all(np.array_equal(a, b) for a, b in zip(model.projections, loaded.projections))}")

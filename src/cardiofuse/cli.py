@@ -1,10 +1,11 @@
 """Batch command-line front-end.
 
-Subcommands: generate, preprocess, select-features, train, evaluate, dca,
-run, compare.  Every command takes --config (JSON), --seed, --out-dir;
-the CARDIOFUSE_OUT_DIR environment variable overrides the output
+Subcommands: generate, run, compare.  `generate` and `run` take --config
+(JSON), --seed and --out-dir; `compare` takes manifest paths and --out-dir.
+The CARDIOFUSE_OUT_DIR environment variable overrides the output
 directory.  `run` additionally accepts repeated --stage name=on|off
-toggles.
+toggles, so one part of the pipeline runs as, e.g.,
+`cardiofuse run --stage evaluate=off --stage dca=off` (through training).
 """
 
 from __future__ import annotations
@@ -22,33 +23,19 @@ from . import pipeline, svg
 
 OUT_DIR_ENV = "CARDIOFUSE_OUT_DIR"
 
-_STAGE_SETS = {
-    "preprocess": ("preprocess", "filtering"),
-    "select-features": ("preprocess", "filtering", "select_features"),
-    "train": ("preprocess", "filtering", "select_features", "train"),
-    "evaluate": ("preprocess", "filtering", "select_features", "train",
-                 "evaluate"),
-    "dca": ("preprocess", "filtering", "select_features", "train", "evaluate",
-            "dca"),
-}
-
 
 def _common_config(args) -> dict:
     overrides: dict = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    cfg = pipeline.load_config(args.config, overrides)
+    try:
+        cfg = pipeline.load_config(args.config, overrides)
+    except ValueError as exc:  # a typo or malformed JSON in --config
+        raise SystemExit(f"bad config: {exc}")
     out_dir = os.environ.get(OUT_DIR_ENV) or args.out_dir
     if out_dir:
         cfg["out_dir"] = out_dir
     return cfg
-
-
-def _run_stages(cfg: dict, enabled: tuple[str, ...]) -> dict:
-    cfg = json.loads(json.dumps(cfg))  # private copy
-    for name in cfg["stages"]:
-        cfg["stages"][name] = name in enabled
-    return pipeline.run_all(cfg, cfg["out_dir"])
 
 
 def cmd_generate(args) -> int:
@@ -56,13 +43,6 @@ def cmd_generate(args) -> int:
     truth = pipeline.stage_generate(cfg, cfg["data_dir"])
     print(f"generated {cfg['data_dir']}: "
           f"{len(truth['corrupted_ids'])} corrupted subjects")
-    return 0
-
-
-def cmd_stage(args) -> int:
-    cfg = _common_config(args)
-    manifest = _run_stages(cfg, _STAGE_SETS[args.command])
-    print(f"completed stages: {[s['name'] for s in manifest['stages']]}")
     return 0
 
 
@@ -146,10 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default=None)
 
-    for name in ("generate", "preprocess", "select-features", "train",
-                 "evaluate", "dca"):
-        p = sub.add_parser(name)
-        add_common(p)
+    p = sub.add_parser("generate", help="write the synthetic study")
+    add_common(p)
 
     p = sub.add_parser("run", help="execute every enabled stage")
     add_common(p)
@@ -168,9 +146,7 @@ def main(argv=None) -> int:
         return cmd_generate(args)
     if args.command == "run":
         return cmd_run(args)
-    if args.command == "compare":
-        return cmd_compare(args)
-    return cmd_stage(args)
+    return cmd_compare(args)
 
 
 if __name__ == "__main__":

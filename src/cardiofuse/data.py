@@ -98,14 +98,6 @@ class StudyTable:
     def by_split(self, *tags: str) -> list[Subject]:
         return [s for s in self.subjects if s.split in tags]
 
-    def subset(self, ids) -> "StudyTable":
-        wanted = set(ids)
-        return StudyTable(
-            subjects=[s for s in self.subjects if s.id in wanted],
-            feature_names=list(self.feature_names),
-            exclusions=list(self.exclusions),
-        )
-
     def tabular_matrix(self, subjects: list[Subject] | None = None) -> np.ndarray:
         subjects = self.subjects if subjects is None else subjects
         return np.stack([s.tabular for s in subjects])

@@ -10,7 +10,7 @@ consecutive iterations, and the subset with the best AUROC wins.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,25 +39,17 @@ class FilterReport:
         )
 
 
-def _pooled_landmarks(subjects, per_modality: bool):
-    """(uncertainty, subject_id, modality, landmark_id) tuples, pooled or split.
-
-    Returns a dict keyed by pool name ('all' or the modality) so quantiles
-    can optionally be computed per modality.
-    """
-    pools: dict[str, list[tuple[float, str, str, int]]] = {}
-    for s in subjects:
-        for modality, lm in sorted(s.landmarks.items()):
-            key = modality if per_modality else "all"
-            for j, u in enumerate(lm.uncertainties):
-                pools.setdefault(key, []).append((float(u), s.id, modality, j))
-    return pools
+def _pooled_landmarks(subjects) -> list[tuple[float, str, str, int]]:
+    """(uncertainty, subject_id, modality, landmark_id) over all modalities."""
+    return [(float(u), s.id, modality, j)
+            for s in subjects
+            for modality, lm in sorted(s.landmarks.items())
+            for j, u in enumerate(lm.uncertainties)]
 
 
 def filter_training_samples(train_subjects, Q: int, eval_fn,
                             min_improvement: float = MIN_IMPROVEMENT,
-                            patience: int = PATIENCE,
-                            per_modality: bool = False) -> FilterReport:
+                            patience: int = PATIENCE) -> FilterReport:
     """Iterative quantile filtering driven by a validation-AUROC callback.
 
     ``eval_fn`` receives the list of candidate training subject ids and
@@ -67,24 +59,18 @@ def filter_training_samples(train_subjects, Q: int, eval_fn,
     if Q < 2:
         raise ValueError("Q must be at least 2")
     subjects = list(train_subjects)
-    pools = _pooled_landmarks(subjects, per_modality)
-    if not pools:
+    entries = sorted(_pooled_landmarks(subjects))
+    if not entries:
         raise ValueError("no landmarks available for filtering")
-    for key, entries in pools.items():
-        if Q > len(entries):
-            raise ValueError(
-                f"Q={Q} exceeds the {len(entries)} pooled landmarks ({key})"
-            )
+    if Q > len(entries):
+        raise ValueError(f"Q={Q} exceeds the {len(entries)} pooled landmarks")
 
     # ascending uncertainty; bin Q-1 is the most uncertain
     bin_of: dict[tuple[str, str, int], int] = {}
-    for entries in pools.values():
-        entries.sort()
-        chunks = np.array_split(np.arange(len(entries)), Q)
-        for b, chunk in enumerate(chunks):
-            for i in chunk:
-                u, sid, modality, j = entries[i]
-                bin_of[(sid, modality, j)] = b
+    for b, chunk in enumerate(np.array_split(np.arange(len(entries)), Q)):
+        for i in chunk:
+            u, sid, modality, j = entries[i]
+            bin_of[(sid, modality, j)] = b
 
     all_ids = [s.id for s in subjects]
     baseline = float(eval_fn(all_ids))

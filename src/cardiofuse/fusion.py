@@ -198,8 +198,8 @@ def _imaging_features(splits, modalities: list[str], mode: str,
                       config: PipelineConfig):
     """Flat Fisher-selected features per split for one imaging branch.
 
-    Returns ``(selected, kappa, models)``: a function from subjects to
-    their feature matrix, the feature count, and the fitted MPCA models.
+    Returns ``(features, kappa, models)``: the feature matrix of each split
+    tag, the feature count, and the fitted MPCA models.
     """
     def gather(subjects):
         out = []
@@ -224,14 +224,14 @@ def _imaging_features(splits, modalities: list[str], mode: str,
         model = mpca.fit(train_tensors, variance_fraction=config.variance_fraction,
                          max_iters=config.mpca_iters)
         models = [model]
-        def features(subjects):
-            tensors = [compose(ts) for ts in gather(subjects)]
-            return mpca.transform_flat(model, tensors)
+        def project(stacks):
+            return mpca.transform_flat(model, [compose(ts) for ts in stacks])
     elif mode == "intermediate":
         per_mod = [[ts[i] for ts in train_stacks] for i in range(len(modalities))]
+        # only the target dims are read, and initialization fixes them
         first_pass = [
             mpca.fit(tensors, variance_fraction=config.variance_fraction,
-                     max_iters=config.mpca_iters)
+                     max_iters=0)
             for tensors in per_mod
         ]
         # shared latent dims so the latent concatenation lines up
@@ -243,25 +243,24 @@ def _imaging_features(splits, modalities: list[str], mode: str,
                      max_iters=config.mpca_iters, target_dims=shared)
             for tensors in per_mod
         ]
-        def features(subjects):
+        def project(stacks):
             # mode-3 concatenation of the latents, for all subjects at once
-            stacks = gather(subjects)
             latents = [np.stack([mpca.transform(model, ts[i]) for ts in stacks])
                        for i, model in enumerate(models)]
             return np.concatenate(latents, axis=3).reshape(len(stacks), -1)
     else:
         raise ValueError(f"unknown imaging fusion mode {mode!r}")
 
-    f_train = features(splits["train"])
-    order, _ = mpca.fisher_rank(f_train, y_train)
-    kappa = min(config.kappa, f_train.shape[1])
-
-    def selected(subjects):
-        if not subjects:
-            return np.zeros((0, kappa))
-        return mpca.select_top(features(subjects), order, kappa)
-
-    return selected, kappa, models
+    flat = project(train_stacks)
+    order, _ = mpca.fisher_rank(flat, y_train)
+    kappa = min(config.kappa, flat.shape[1])
+    features = {"train": mpca.select_top(flat, order, kappa)}
+    del flat  # one unselected matrix alive at a time
+    for tag in ("validation", "test"):
+        subjects = splits[tag]
+        features[tag] = (mpca.select_top(project(gather(subjects)), order, kappa)
+                         if subjects else np.zeros((0, kappa)))
+    return features, kappa, models
 
 
 def _ehr_features(splits, study: StudyTable, config: PipelineConfig):
@@ -273,13 +272,11 @@ def _ehr_features(splits, study: StudyTable, config: PipelineConfig):
         cols = [names.index(n) for n in config.ehr_features]
     else:
         cols = list(range(len(names)))
-
-    def selected(subjects):
-        if not subjects:
-            return np.zeros((0, len(cols)))
-        return np.stack([s.tabular[cols] for s in subjects])
-
-    return selected, None
+    return {
+        tag: np.stack([s.tabular[cols] for s in subjects]) if subjects
+        else np.zeros((0, len(cols)))
+        for tag, subjects in splits.items()
+    }
 
 
 def _branch_specs(plan: FusionPlan) -> list[tuple[str, list[str], str]]:
@@ -319,13 +316,13 @@ def run_plan(plan: FusionPlan, study: StudyTable,
     y_train = np.asarray([s.label for s in splits["train"]], dtype=np.int64)
     branches = []
     for name, modalities, mode in _branch_specs(plan):
-        models = None
+        kappa = models = None
         if mode == EHR:
-            selected, kappa = _ehr_features(splits, study, config)
+            x = _ehr_features(splits, study, config)
         else:
-            selected, kappa, models = _imaging_features(splits, modalities,
-                                                        mode, config)
-        x_train = selected(splits["train"])
+            x, kappa, models = _imaging_features(splits, modalities, mode,
+                                                 config)
+        x_train = x["train"]
         cv = None
         if config.fixed_c is not None:
             chosen_c = config.fixed_c
@@ -336,10 +333,7 @@ def run_plan(plan: FusionPlan, study: StudyTable,
             chosen_c = cv.chosen_c
         clf = train_linear(x_train, y_train, C=chosen_c,
                            epochs=config.svm_epochs, seed=config.seed)
-        scores = {
-            tag: decision_scores(clf, selected(subjects))
-            for tag, subjects in splits.items()
-        }
+        scores = {tag: decision_scores(clf, x[tag]) for tag in splits}
         branches.append(BranchResult(name=name, chosen_c=float(chosen_c),
                                      kappa=kappa, scores=scores,
                                      classifier=clf, cv=cv,

@@ -139,17 +139,6 @@ class EvalReport:
         d["dca_curve"] = [list(row) for row in self.dca_curve]
         return json.dumps(d, sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        d = json.loads(text)
-        return cls(
-            auroc=d["auroc"],
-            accuracy=d["accuracy"],
-            mcc=d["mcc"],
-            confusion=tuple(d["confusion"]),
-            dca_curve=[tuple(row) for row in d["dca_curve"]],
-        )
-
 
 def evaluate(scores, labels, squash: tuple[float, float] | None = None,
              thresholds=None) -> EvalReport:

@@ -11,8 +11,6 @@ through all three modes during a fit.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,16 +25,13 @@ _FISHER_VAR_FLOOR = 1e-12
 
 @dataclass
 class MpcaModel:
-    """Learned mode-wise projections plus the Fisher feature ordering."""
+    """Learned mode-wise projections."""
 
     projections: list[np.ndarray]  # U^(n), shape (I_n, J_n), orthonormal columns
     mean_tensor: np.ndarray  # (I1, I2, I3)
     target_dims: tuple[int, int, int]
     variance_fraction: float
     scatter_trace: list[float] = field(default_factory=list)
-    fisher_order: np.ndarray | None = None
-    fisher_scores: np.ndarray | None = None
-    kappa: int = DEFAULT_KAPPA
 
     @property
     def input_dims(self) -> tuple[int, int, int]:
@@ -205,67 +200,3 @@ def select_top(features: np.ndarray, order: np.ndarray, kappa: int) -> np.ndarra
     if not 1 <= kappa <= features.shape[1]:
         raise ValueError(f"kappa={kappa} out of range for {features.shape[1]} features")
     return features[:, np.asarray(order)[:kappa]]
-
-
-def rank_and_attach(model: MpcaModel, features: np.ndarray, labels,
-                    kappa: int = DEFAULT_KAPPA) -> MpcaModel:
-    """Fisher-rank training features and store ordering + kappa on the model."""
-    order, scores = fisher_rank(features, labels)
-    model.fisher_order = order
-    model.fisher_scores = scores
-    model.kappa = min(kappa, features.shape[1])
-    return model
-
-
-_MAGIC = b"MPC1"
-
-
-def save(model: MpcaModel, path) -> None:
-    """JSON header + little-endian float64 payload (projections, mean)."""
-    header = {
-        "input_dims": list(model.input_dims),
-        "target_dims": list(model.target_dims),
-        "variance_fraction": model.variance_fraction,
-        "kappa": model.kappa,
-        "scatter_trace": model.scatter_trace,
-        "fisher_order": None if model.fisher_order is None
-        else [int(i) for i in model.fisher_order],
-        "fisher_scores": None if model.fisher_scores is None
-        else [float(s) for s in model.fisher_scores],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for u in model.projections:
-            f.write(np.ascontiguousarray(u, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.mean_tensor, dtype="<f8").tobytes())
-
-
-def load(path) -> MpcaModel:
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not an MPCA model file")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        input_dims = tuple(header["input_dims"])
-        target_dims = tuple(header["target_dims"])
-        projections = []
-        for i_n, j_n in zip(input_dims, target_dims):
-            buf = f.read(8 * i_n * j_n)
-            projections.append(np.frombuffer(buf, dtype="<f8").reshape(i_n, j_n).copy())
-        size = int(np.prod(input_dims))
-        mean = np.frombuffer(f.read(8 * size), dtype="<f8").reshape(input_dims).copy()
-    return MpcaModel(
-        projections=projections,
-        mean_tensor=mean,
-        target_dims=target_dims,
-        variance_fraction=header["variance_fraction"],
-        scatter_trace=list(header["scatter_trace"]),
-        fisher_order=None if header["fisher_order"] is None
-        else np.asarray(header["fisher_order"], dtype=np.int64),
-        fisher_scores=None if header["fisher_scores"] is None
-        else np.asarray(header["fisher_scores"], dtype=np.float64),
-        kappa=header["kappa"],
-    )

@@ -9,6 +9,7 @@ is a JSON document; see DEFAULT_CONFIG for the full key-value schema.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -72,6 +73,23 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# every key a config may set; `synthetic` takes the fields of SyntheticSpec
+_KNOWN_KEYS: dict = {
+    **DEFAULT_CONFIG,
+    "synthetic": dict.fromkeys(f.name for f in dataclasses.fields(SyntheticSpec)),
+}
+
+
+def _check_keys(override: dict, known: dict, source: str,
+                path: str = "") -> None:
+    """Reject a key absent from ``known``, naming its dotted path."""
+    for key, value in override.items():
+        if key not in known:
+            raise ValueError(f"{source}: unknown config key {path + key!r}")
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            _check_keys(value, known[key], source, f"{path}{key}.")
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     merged = copy.deepcopy(base)
     for key, value in override.items():
@@ -83,11 +101,16 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
+    """DEFAULT_CONFIG merged with the JSON file at ``path``, then with
+    ``overrides``; a key the defaults lack raises ValueError."""
     cfg = DEFAULT_CONFIG
     if path is not None:
         with open(path, encoding="utf-8") as f:
-            cfg = _deep_merge(cfg, json.load(f))
+            loaded = json.load(f)
+        _check_keys(loaded, _KNOWN_KEYS, str(path))
+        cfg = _deep_merge(cfg, loaded)
     if overrides:
+        _check_keys(overrides, _KNOWN_KEYS, "overrides")
         cfg = _deep_merge(cfg, overrides)
     return cfg
 

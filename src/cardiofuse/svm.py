@@ -8,7 +8,6 @@ every fusion branch gets identical treatment.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,29 +26,6 @@ class LinearClassifier:
     C: float
     scaler_mean: np.ndarray
     scaler_std: np.ndarray
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "weights": [float(v) for v in self.weights],
-                "bias": self.bias,
-                "C": self.C,
-                "scaler_mean": [float(v) for v in self.scaler_mean],
-                "scaler_std": [float(v) for v in self.scaler_std],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearClassifier":
-        d = json.loads(text)
-        return cls(
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            bias=float(d["bias"]),
-            C=float(d["C"]),
-            scaler_mean=np.asarray(d["scaler_mean"], dtype=np.float64),
-            scaler_std=np.asarray(d["scaler_std"], dtype=np.float64),
-        )
 
 
 @dataclass
@@ -159,17 +135,12 @@ def train_linear(features: np.ndarray, labels, C: float = 1.0,
                             scaler_mean=mean, scaler_std=std)
 
 
-def decision_score(clf: LinearClassifier, x) -> float:
-    """Signed margin; score > 0 predicts class 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != clf.weights.shape:
-        raise ValueError(f"feature length {x.shape} != {clf.weights.shape}")
-    scaled = (x - clf.scaler_mean) / clf.scaler_std
-    return float(clf.weights @ scaled + clf.bias)
-
-
 def decision_scores(clf: LinearClassifier, x: np.ndarray) -> np.ndarray:
+    """Signed margin of each row of ``x``; score > 0 predicts class 1."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != len(clf.weights):
+        raise ValueError(f"feature matrix {x.shape} does not have"
+                         f" {len(clf.weights)} columns")
     scaled = (x - clf.scaler_mean) / clf.scaler_std
     return scaled @ clf.weights + clf.bias
 

@@ -22,19 +22,6 @@ _UNFOLD_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
 _FOLD_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (1, 2, 0)}
 
 
-def as_tensor3(data) -> np.ndarray:
-    """Validate and coerce ``data`` into a canonical third-order tensor.
-
-    Raises ``ValueError`` on wrong rank or non-finite entries.
-    """
-    t = np.ascontiguousarray(data, dtype=np.float64)
-    if t.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("tensor contains non-finite entries")
-    return t
-
-
 def _check_mode(n: int) -> None:
     if n not in _MODES:
         raise ValueError(f"mode index must be 1, 2 or 3, got {n}")

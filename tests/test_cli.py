@@ -51,6 +51,26 @@ class TestConfig:
         assert cfg["seed"] == 99
         assert cfg["svm"]["fixed_c"] == 0.1
 
+    def test_unknown_override_key_names_dotted_path(self):
+        with pytest.raises(ValueError, match="'svm.epoch'"):
+            pipeline.load_config(overrides={"svm": {"epoch": 5}})
+        with pytest.raises(ValueError, match="'sed'"):
+            pipeline.load_config(overrides={"sed": 1})
+
+    def test_unknown_file_key_names_file_and_path(self, tmp_path):
+        path = write_config(tmp_path, gat={"epochs": 5, "head": 2})
+        with pytest.raises(ValueError, match="config.json: .*'gat.head'"):
+            pipeline.load_config(path)
+        with pytest.raises(SystemExit, match="'gat.head'"):
+            cli.main(["run", "--config", str(path)])
+
+    def test_synthetic_keys_are_spec_fields(self):
+        cfg = pipeline.load_config(overrides={
+            "synthetic": {"n_subjects": 50, "informative_fraction": {"ehr": 1}}})
+        assert cfg["synthetic"]["n_subjects"] == 50
+        with pytest.raises(ValueError, match="'synthetic.n_subject'"):
+            pipeline.load_config(overrides={"synthetic": {"n_subject": 50}})
+
 
 class TestRunCommand:
     def test_all_stages_disabled_exits_zero(self, tmp_path, capsys):
@@ -212,20 +232,26 @@ class TestStageSubcommands:
         assert (tmp_path / "data" / "labels.csv").exists()
         assert "generated" in capsys.readouterr().out
 
-    def test_preprocess_runs_prefix_stages(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path)
-        cli.main(["generate", "--config", str(cfg_path)])
-        assert cli.main(["preprocess", "--config", str(cfg_path)]) == 0
-        out = tmp_path / "out"
-        assert (out / "filter_report.json").exists()
-        assert not (out / "eval_report.json").exists()
+    def test_only_generate_run_and_compare(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert "{generate,run,compare}" in capsys.readouterr().out
 
-    def test_evaluate_runs_through_metrics(self, tmp_path):
+    def test_run_through_train_skips_evaluation(self, tmp_path):
         cfg_path = write_config(tmp_path)
         cli.main(["generate", "--config", str(cfg_path)])
-        assert cli.main(["evaluate", "--config", str(cfg_path)]) == 0
-        report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
-        assert 0.0 <= report["auroc"] <= 1.0
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--stage", "evaluate=off", "--stage", "dca=off"]) == 0
+        out = tmp_path / "out"
+        for name in ("filter_report.json", "feature_importance.csv",
+                     "test_scores.csv", "run_manifest.json"):
+            assert (out / name).exists(), name
+        for name in ("eval_report.json", "segment_metrics.json",
+                     "dca_curve.csv"):
+            assert not (out / name).exists(), name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [s["name"] for s in manifest["stages"]] == [
+            "preprocess", "filtering", "select_features", "train"]
 
 
 class TestCompare:

@@ -44,6 +44,23 @@ class TestTensorFile:
         with pytest.raises(StudyFormatError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.hft"
+        write_tensor(path, np.zeros((2, 2, 2)))
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<f", bad)  # last entry, written past the check
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StudyFormatError, match="non-finite"):
+            read_tensor(path)
+
+    def test_non_finite_or_wrong_rank_not_written(self, tmp_path):
+        t = np.zeros((2, 2, 2))
+        t[1, 1, 1] = np.nan
+        for bad in (t, np.zeros((2, 3))):
+            with pytest.raises(ValueError):
+                write_tensor(tmp_path / "t.hft", bad)
+
 
 def write_fixture_study(root: Path, n=3, missing_tensor_for=None,
                         missing_label_for=None):

@@ -243,7 +243,7 @@ class TestRunPlan:
         subject's two projected tensors, bit for bit."""
         splits = fusion._splits(small_study)
         config = PipelineConfig(kappa=10 ** 6)  # keep every latent feature
-        selected, kappa, models = fusion._imaging_features(
+        x, kappa, models = fusion._imaging_features(
             splits, [SA, FC], "intermediate", config)
 
         def per_subject(subjects):
@@ -255,7 +255,7 @@ class TestRunPlan:
         train = per_subject(splits["train"])
         assert kappa == train.shape[1]
         order, _ = mpca.fisher_rank(train, [s.label for s in splits["train"]])
-        np.testing.assert_array_equal(selected(splits["validation"]),
+        np.testing.assert_array_equal(x["validation"],
                                       per_subject(splits["validation"])[:, order])
 
     def test_manifest_cv_null_under_fixed_c(self, small_study):

@@ -283,21 +283,3 @@ class TestSelectTop:
     def test_kappa_out_of_range(self):
         with pytest.raises(ValueError):
             mpca.select_top(self.x, self.order, 13)
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        samples = random_samples(10, (4, 3, 5), seed=14)
-        labels = np.array([0, 1] * 5)
-        model = mpca.fit(samples, variance_fraction=0.95)
-        feats = mpca.transform_flat(model, samples)
-        mpca.rank_and_attach(model, feats, labels, kappa=4)
-        path = tmp_path / "model.mpc"
-        mpca.save(model, path)
-        loaded = mpca.load(path)
-        assert loaded.target_dims == model.target_dims
-        assert loaded.kappa == model.kappa
-        np.testing.assert_array_equal(loaded.fisher_order, model.fisher_order)
-        np.testing.assert_array_equal(loaded.mean_tensor, model.mean_tensor)
-        for u1, u2 in zip(loaded.projections, model.projections):
-            np.testing.assert_array_equal(u1, u2)

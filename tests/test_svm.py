@@ -116,18 +116,20 @@ class TestTrainLinear:
 
 
 class TestDecisionScore:
+    """``decision_scores`` on one-row matrices."""
+
     def test_scaler_mean_maps_to_bias(self):
         clf = svm.LinearClassifier(weights=np.array([2.0, -1.0]), bias=0.0,
                                    C=1.0, scaler_mean=np.array([3.0, 4.0]),
                                    scaler_std=np.ones(2))
-        assert svm.decision_score(clf, np.array([3.0, 4.0])) == 0.0
+        assert svm.decision_scores(clf, np.array([[3.0, 4.0]])).tolist() == [0.0]
 
     def test_zero_weights_bias_three(self):
         clf = svm.LinearClassifier(weights=np.zeros(2), bias=3.0, C=1.0,
                                    scaler_mean=np.zeros(2),
                                    scaler_std=np.ones(2))
-        for x in (np.zeros(2), np.array([5.0, -9.0])):
-            assert svm.decision_score(clf, x) == 3.0
+        for x in (np.zeros((1, 2)), np.array([[5.0, -9.0]])):
+            assert svm.decision_scores(clf, x).tolist() == [3.0]
 
     def test_support_point_near_unit_margin(self):
         # symmetric 2-D max-margin configuration: classes at x = -1 and +1,
@@ -135,27 +137,17 @@ class TestDecisionScore:
         x = np.array([[-1.0, 0.0], [-1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 0, 1, 1])
         clf = svm.train_linear(x, y, C=10.0, epochs=2000)
-        score = svm.decision_score(clf, np.array([1.0, 0.5]))
+        (score,) = svm.decision_scores(clf, np.array([[1.0, 0.5]]))
         assert score == pytest.approx(1.0, abs=0.1)
 
     def test_length_mismatch(self):
         clf = svm.LinearClassifier(weights=np.zeros(3), bias=0.0, C=1.0,
                                    scaler_mean=np.zeros(3),
                                    scaler_std=np.ones(3))
-        with pytest.raises(ValueError):
-            svm.decision_score(clf, np.zeros(2))
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        x, y = blobs(10, 2.0, seed=7)
-        clf = svm.train_linear(x, y, C=0.01)
-        back = svm.LinearClassifier.from_json(clf.to_json())
-        np.testing.assert_array_equal(back.weights, clf.weights)
-        assert back.bias == clf.bias
-        assert back.C == clf.C
-        np.testing.assert_array_equal(back.scaler_mean, clf.scaler_mean)
-        np.testing.assert_array_equal(back.scaler_std, clf.scaler_std)
+        # a one-column row would broadcast against the scaler without the check
+        for x in (np.zeros((1, 2)), np.zeros((1, 1)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                svm.decision_scores(clf, x)
 
 
 class TestCrossValidation:

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardiofuse.tensor3 import (as_tensor3, frobenius_sq, mode_n_fold,
-                                mode_n_product, mode_n_unfold,
-                                multi_mode_product)
+from cardiofuse.tensor3 import (frobenius_sq, mode_n_fold, mode_n_product,
+                                mode_n_unfold, multi_mode_product)
 
 
 def naive_unfold(t, n):
@@ -36,28 +35,6 @@ def random_orthonormal(n, rng):
 
 
 dims_st = st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8))
-
-
-class TestValidation:
-    def test_as_tensor3_accepts_3d(self):
-        t = as_tensor3(np.zeros((2, 3, 4)))
-        assert t.shape == (2, 3, 4)
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError):
-            as_tensor3(np.zeros((2, 3)))
-
-    def test_rejects_nan(self):
-        t = np.zeros((2, 2, 2))
-        t[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            as_tensor3(t)
-
-    def test_rejects_inf(self):
-        t = np.zeros((2, 2, 2))
-        t[1, 1, 1] = np.inf
-        with pytest.raises(ValueError):
-            as_tensor3(t)
 
 
 class TestUnfold:
