@@ -1,4 +1,4 @@
-"""Micro-benchmark of the train-stage kernels on fixed seeded inputs.
+"""Micro-benchmark of the pipeline's kernels on fixed seeded inputs.
 
 Usage, from the repository root:
 
@@ -9,12 +9,16 @@ Times ``svm.train_linear`` (200 x 210, C = 0.1, 15 epochs, as in a CV fit
 of the benchmark's ``default`` workload), ``mpca.fit`` (280 stacks of
 32 x 32 x 8, one refinement pass) and ``tensor3.mode_n_product`` (a
 32 x 32 x 8 stack by a 30 x 32, 30 x 32 and 8 x 8 matrix along modes 1, 2
-and 3).  With ``--baseline-src`` a second source tree is imported beside
+and 3), ``registration.warp_stack`` (a 32 x 32 x 8 and a 48 x 48 x 8 stack
+under a small rotation, scaling and shift, as in ``register_stack``) and a
+cold ``import cardiofuse.pipeline`` (a fresh interpreter per sample, so the
+time includes the interpreter's own start-up; that part is the same for
+both trees).  With ``--baseline-src`` a second source tree is imported beside
 this one under another package name; each round times every kernel once
 in each tree, alternating which tree goes first, so drift in the
 machine's speed reaches both alike.  The minimum over ``--repeats``
 rounds is reported, with every sample, and whether the baseline's output
-equals this tree's bit for bit.
+equals this tree's byte for byte (null for the import, which has no output).
 
 BLAS runs on one thread (``OPENBLAS_NUM_THREADS`` and its siblings are set
 before numpy loads); the JSON records the thread count OpenBLAS reports,
@@ -58,7 +62,7 @@ def load_tree(src: Path, alias: str) -> dict:
     sys.modules[alias] = module
     spec.loader.exec_module(module)
     return {name: importlib.import_module(f"{alias}.{name}")
-            for name in ("svm", "mpca", "tensor3")}
+            for name in ("svm", "mpca", "tensor3", "registration")}
 
 
 def inputs() -> dict:
@@ -70,16 +74,24 @@ def inputs() -> dict:
               for _ in range(280)]
     mats = {1: rng.normal(size=(30, 32)), 2: rng.normal(size=(30, 32)),
             3: rng.normal(size=(8, 8))}
+    angle, scale = 0.04, 1.03
+    warp_matrix = scale * np.array([[np.cos(angle), -np.sin(angle)],
+                                    [np.sin(angle), np.cos(angle)]])
     return {"x": x, "y": y.astype(np.int64), "stacks": stacks,
-            "tensor": stacks[0], "mats": mats}
+            "tensor": stacks[0], "mats": mats,
+            "warp_stacks": {h: rng.normal(size=(h, h, 8)) for h in (32, 48)},
+            "warp_affine": (warp_matrix, np.array([0.7, -1.2]))}
 
 
 PRODUCT_CALLS = 300  # mode products per sample: one call is ~10 us
+WARP_CALLS = 100  # warps per sample: one call is ~0.5 ms
 
 
-def kernels(mods: dict, data: dict) -> dict:
-    """name -> (input, fn returning the output arrays, calls per fn)."""
+def kernels(src: Path, mods: dict, data: dict) -> dict:
+    """name -> (input, fn returning the output arrays or None, calls per fn)."""
     svm, mpca, tensor3 = mods["svm"], mods["mpca"], mods["tensor3"]
+    registration = mods["registration"]
+    affine = registration.AffineTransform(*data["warp_affine"])
 
     def train():
         clf = svm.train_linear(data["x"], data["y"], C=0.1, epochs=15, seed=0)
@@ -97,11 +109,28 @@ def kernels(mods: dict, data: dict) -> dict:
                    for n, m in data["mats"].items()]
         return out
 
+    def warp(h):
+        def fn():
+            for _ in range(WARP_CALLS):
+                out = registration.warp_stack(data["warp_stacks"][h], affine)
+            return [out]
+        return fn
+
+    def cold_import():
+        subprocess.run([sys.executable, "-c", "import cardiofuse.pipeline"],
+                       env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+
     return {
         "svm.train_linear": ("200x210, C=0.1, 15 epochs", train, 1),
         "mpca.fit": ("280 x 32x32x8, max_iters=1", fit, 1),
         "tensor3.mode_n_product": ("32x32x8 by 30x32 / 30x32 / 8x8, per call",
                                    products, PRODUCT_CALLS),
+        "registration.warp_stack 32x32x8": ("32x32x8, per call", warp(32),
+                                            WARP_CALLS),
+        "registration.warp_stack 48x48x8": ("48x48x8, per call", warp(48),
+                                            WARP_CALLS),
+        "import cardiofuse.pipeline": ("fresh interpreter, per process",
+                                       cold_import, 1),
     }
 
 
@@ -157,7 +186,7 @@ def main(argv=None) -> int:
     trees = {"current": ROOT / "src"}
     if args.baseline_src is not None:
         trees["baseline"] = args.baseline_src.resolve()
-    suites = {tag: kernels(load_tree(src, f"cardiofuse_{tag}"), data)
+    suites = {tag: kernels(src, load_tree(src, f"cardiofuse_{tag}"), data)
               for tag, src in trees.items()}
 
     samples = {name: {tag: [] for tag in trees} for name in suites["current"]}
@@ -180,11 +209,13 @@ def main(argv=None) -> int:
             entry[f"{tag}_samples_ms"] = [round(s, 4) for s in samples[name][tag]]
         if "baseline" in trees:
             entry["speedup"] = entry["baseline_min_ms"] / entry["current_min_ms"]
-            entry["bit_identical"] = all(
-                np.array_equal(a, b) for a, b in zip(outputs[name]["current"],
-                                                     outputs[name]["baseline"]))
+            current, baseline = outputs[name]["current"], outputs[name]["baseline"]
+            entry["bit_identical"] = None if current is None else all(
+                a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes()
+                for a, b in zip(current, baseline))
         results[name] = entry
-        print(f"{name:<24} " + "  ".join(
+        print(f"{name:<32} " + "  ".join(
             f"{tag} {entry[f'{tag}_min_ms']:9.3f} ms" for tag in trees)
             + (f"  x{entry['speedup']:.2f}  identical {entry['bit_identical']}"
                if "baseline" in trees else ""))

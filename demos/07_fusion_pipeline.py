@@ -17,22 +17,25 @@ from cardiofuse.fusion import EHR, FusionPlan, run_plan
 
 SA, FC = "short_axis", "four_chamber"
 
-# A scaled-down configuration so the demo finishes in about a minute.
-cfg = pipeline.load_config(overrides={
-    "data_dir": tempfile.mkdtemp(prefix="cardiofuse_demo_"),
-    "synthetic": {"n_subjects": 120, "dims": [16, 16, 4]},
-    "split": {"test_segments": 3},
-    "svm": {"fixed_c": 0.1, "epochs": 80},
-    "mpca": {"kappa": 60},
-    "gat": {"epochs": 200, "target_degree": 8},
-    "filtering": {"eval_epochs": 40},
-})
+# The study lives in a temporary directory that is deleted once it is
+# loaded: every later stage works on the in-memory study.
+with tempfile.TemporaryDirectory(prefix="cardiofuse_demo_") as data_dir:
+    # A scaled-down configuration so the demo finishes in about a minute.
+    cfg = pipeline.load_config(overrides={
+        "data_dir": data_dir,
+        "synthetic": {"n_subjects": 120, "dims": [16, 16, 4]},
+        "split": {"test_segments": 3},
+        "svm": {"fixed_c": 0.1, "epochs": 80},
+        "mpca": {"kappa": 60},
+        "gat": {"epochs": 200, "target_degree": 8},
+        "filtering": {"eval_epochs": 40},
+    })
 
-print("generating synthetic study ...")
-truth = pipeline.stage_generate(cfg, cfg["data_dir"])
-print(f"  {len(truth['corrupted_ids'])} corrupted subjects planted")
+    print("generating synthetic study ...")
+    truth = pipeline.stage_generate(cfg, data_dir)
+    print(f"  {len(truth['corrupted_ids'])} corrupted subjects planted")
 
-study = pipeline.stage_load(cfg)
+    study = pipeline.stage_load(cfg)
 pipeline.stage_preprocess(study)
 
 freport = pipeline.stage_filtering(study, cfg)

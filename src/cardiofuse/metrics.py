@@ -7,14 +7,32 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import rankdata
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of ``values``, ties sharing their mean rank.
+
+    The formula of ``scipy.stats.rankdata(method="average")``: a stable
+    sort, tie groups from the sorted run boundaries, then the mean of each
+    group's first and last rank.
+    """
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.arange(order.size, dtype=np.intp)
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = np.cumsum(starts)[inverse]
+    count = np.r_[np.flatnonzero(starts), starts.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def auroc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative.
 
     Ties get half credit (Mann-Whitney); equals the trapezoidal ROC area.
-    Requires both classes to be present.
+    Requires both classes to be present and every score to be finite: a
+    NaN or infinite score raises ValueError, as it has no defined rank.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -22,7 +40,11 @@ def auroc(scores, labels) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC needs both classes present")
-    ranks = rankdata(scores)  # average ranks handle ties
+    n_bad = int(np.sum(~np.isfinite(scores)))
+    if n_bad:
+        raise ValueError(f"AUROC needs finite scores; {n_bad} of "
+                         f"{scores.size} are NaN or infinite")
+    ranks = _average_ranks(scores)
     rank_sum = float(np.sum(ranks[labels == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -82,11 +82,16 @@ _KNOWN_KEYS: dict = {
 
 def _check_keys(override: dict, known: dict, source: str,
                 path: str = "") -> None:
-    """Reject a key absent from ``known``, naming its dotted path."""
+    """Reject a section that is not a JSON object, or a key absent from
+    ``known``, naming its dotted path."""
+    if not isinstance(override, dict):
+        where = f"config key {path[:-1]!r}" if path else "the config"
+        raise ValueError(f"{source}: {where} must be a JSON object, "
+                         f"not {type(override).__name__}")
     for key, value in override.items():
         if key not in known:
             raise ValueError(f"{source}: unknown config key {path + key!r}")
-        if isinstance(value, dict) and isinstance(known[key], dict):
+        if isinstance(known[key], dict):
             _check_keys(value, known[key], source, f"{path}{key}.")
 
 

@@ -3,14 +3,23 @@
 Landmark points are (x, y) pixel coordinates with x along image columns
 (axis 1) and y along rows (axis 0).  Each modality carries exactly three
 landmarks per subject, which uniquely determine the 6-DOF 2-D affine.
+
+:func:`warp_stack` is a bilinear gather written in numpy that gives the
+same bytes as ``scipy.ndimage.map_coordinates(order=1, mode="constant",
+cval=0.0)`` applied frame by frame, without importing ``scipy.ndimage``.
+It follows ndimage's arithmetic step by step: a sample point with either
+coordinate outside ``[0, n - 1]`` reads 0; inside, the fractional part
+``f`` gives the weights ``w0 = 1 - f`` and ``w1 = 1 - w0`` (not ``f``: the
+two differ in the last bit when ``f < 0.5``); and the four taps are added
+to 0.0 in the order (r0, c0), (r0, c1), (r1, c0), (r1, c1), each as
+``(value * w_row) * w_col``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 MODALITIES = ("short_axis", "four_chamber")
 
@@ -87,23 +96,41 @@ def affine_from_landmarks(src_points, template_points, *,
     return AffineTransform(matrix=params[:2].T.copy(), offset=params[2].copy())
 
 
+def _bilinear_taps(coords: np.ndarray, n: int):
+    """Lower and upper tap indices and their weights along one axis.
+
+    Only meaningful for coordinates inside ``[0, n - 1]``.  At exactly
+    ``n - 1`` the upper tap is clamped to ``n - 1`` and weighs 0.
+    """
+    lower = np.floor(coords).astype(np.intp)
+    w0 = 1.0 - (coords - lower)
+    w1 = 1.0 - w0
+    return lower, np.minimum(lower + 1, n - 1), w0[:, None], w1[:, None]
+
+
 def warp_stack(t: np.ndarray, a: AffineTransform) -> np.ndarray:
     """Resample every frame of a (H, W, T) stack under an affine map.
 
     ``a`` maps output (template) coordinates to input (source) coordinates,
-    i.e. inverse warping.  Bilinear interpolation, zero fill outside.
+    i.e. inverse warping.  Bilinear interpolation, zero fill outside; all
+    frames share one gather (see the module docstring for the arithmetic).
     """
     t = np.asarray(t, dtype=np.float64)
     h, w, n_frames = t.shape
     cols, rows = np.meshgrid(np.arange(w), np.arange(h))  # (H, W) each
     src = a.apply(np.stack([cols.ravel(), rows.ravel()], axis=1))
-    coords = np.stack([src[:, 1], src[:, 0]])  # map_coordinates wants (row, col)
-    out = np.empty_like(t)
-    for k in range(n_frames):
-        out[:, :, k] = map_coordinates(
-            t[:, :, k], coords, order=1, mode="constant", cval=0.0
-        ).reshape(h, w)
-    return out
+    r, c = src[:, 1], src[:, 0]
+    inside = np.flatnonzero((r >= 0) & (r <= h - 1) & (c >= 0) & (c <= w - 1))
+    r0, r1, wr0, wr1 = _bilinear_taps(r[inside], h)
+    c0, c1, wc0, wc1 = _bilinear_taps(c[inside], w)
+    pixels = t.reshape(h * w, n_frames)
+    out = np.zeros((h * w, n_frames))
+    # the leading 0.0 is ndimage's accumulator: it turns a -0.0 sum into +0.0
+    out[inside] = (0.0 + (pixels[r0 * w + c0] * wr0) * wc0
+                   + (pixels[r0 * w + c1] * wr0) * wc1
+                   + (pixels[r1 * w + c0] * wr1) * wc0
+                   + (pixels[r1 * w + c1] * wr1) * wc1)
+    return out.reshape(h, w, n_frames)
 
 
 def build_template(landmark_sets: list[LandmarkSet]) -> np.ndarray:

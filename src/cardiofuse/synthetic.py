@@ -85,7 +85,9 @@ def _render_canonical(dims, modality, signal_label, amplitude, strength,
     The class changes several independent aspects at once, so the signal
     spans many latent directions instead of a single contrast: amplitude
     of site 1 (up), amplitude of site 2 (down), anatomy blob radius, and
-    the depth of the temporal pulsation.
+    the depth of the temporal pulsation.  The blob image does not depend
+    on the frame, so it is computed once and each frame is its pulse times
+    that image (the same product, bit for bit, as recomputing it per frame).
     """
     h, w, n_frames = dims
     cols, rows = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
@@ -101,11 +103,11 @@ def _render_canonical(dims, modality, signal_label, amplitude, strength,
     amp2 = amplitude * (1.0 - 0.5 * strength * y)
     depth = 0.15 + 0.15 * strength * y
     phase = rng.uniform(0, 2 * np.pi)
+    image = amp1 * np.exp(-d1) + amp2 * np.exp(-d2) + amplitude * np.exp(-d_fix)
     stack = np.empty(dims)
     for t in range(n_frames):
         pulse = 1.0 - depth + depth * np.sin(2 * np.pi * t / n_frames + phase)
-        stack[:, :, t] = pulse * (amp1 * np.exp(-d1) + amp2 * np.exp(-d2)
-                                  + amplitude * np.exp(-d_fix))
+        stack[:, :, t] = pulse * image
     return stack
 
 

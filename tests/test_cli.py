@@ -1,12 +1,17 @@
 """CLI and pipeline-orchestration tests on a miniature synthetic study."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cardiofuse import cli, pipeline
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_SYNTHETIC = {
     "n_subjects": 60,
@@ -21,6 +26,15 @@ FAST_OVERRIDES = {
     "gat": {"epochs": 15, "hidden_dims": [8, 8], "target_degree": 5},
     "filtering": {"Q": 5, "eval_epochs": 20},
 }
+
+
+def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this tree's ``src`` first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def write_config(tmp_path, **extra) -> Path:
@@ -64,12 +78,42 @@ class TestConfig:
         with pytest.raises(SystemExit, match="'gat.head'"):
             cli.main(["run", "--config", str(path)])
 
+    def test_non_object_config_names_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ValueError, match="config.json: the config must "
+                                             "be a JSON object, not list"):
+            pipeline.load_config(path)
+        proc = run_python("-m", "cardiofuse.cli", "run", "--config", str(path),
+                          cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("bad config: ")
+        assert "config.json" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_non_object_section_names_dotted_path(self, tmp_path):
+        path = write_config(tmp_path, svm=[1])
+        with pytest.raises(SystemExit, match="bad config: .*'svm' must be a "
+                                             "JSON object, not list"):
+            cli.main(["run", "--config", str(path)])
+        with pytest.raises(ValueError, match="'synthetic' must be"):
+            pipeline.load_config(overrides={"synthetic": 3})
+
     def test_synthetic_keys_are_spec_fields(self):
         cfg = pipeline.load_config(overrides={
             "synthetic": {"n_subjects": 50, "informative_fraction": {"ehr": 1}}})
         assert cfg["synthetic"]["n_subjects"] == 50
         with pytest.raises(ValueError, match="'synthetic.n_subject'"):
             pipeline.load_config(overrides={"synthetic": {"n_subject": 50}})
+
+
+def test_cli_import_leaves_out_ndimage_and_stats():
+    """The package's scipy use is `sparse` and `optimize`; importing the
+    CLI must not pull in the heavier `ndimage` or `stats`."""
+    proc = run_python("-c", "import sys, cardiofuse.cli; print(sorted("
+                      "m for m in ('scipy.ndimage', 'scipy.stats')"
+                      " if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestRunCommand:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from cardiofuse import metrics
 
@@ -23,6 +24,14 @@ def pair_counting_auroc(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def rankdata_auroc(scores, labels):
+    """Oracle: the Mann-Whitney formula on scipy's average ranks."""
+    labels = np.asarray(labels)
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    rank_sum = float(np.sum(rankdata(scores)[labels == 1]))
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 class TestAuroc:
@@ -49,6 +58,27 @@ class TestAuroc:
             scores = np.round(rng.normal(size=n), 1)
             assert metrics.auroc(scores, labels) == pytest.approx(
                 pair_counting_auroc(scores, labels), abs=1e-12)
+
+    def test_equals_rankdata_oracle_with_many_ties(self):
+        rng = np.random.default_rng(5)
+        for trial in range(400):
+            n = int(rng.integers(2, 300))
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            # few distinct values: most scores share a tie group
+            levels = rng.normal(size=int(rng.integers(1, 8)))
+            scores = rng.choice(levels, size=n)
+            if trial % 4 == 0:
+                scores = np.round(rng.normal(size=n), 1)
+            assert (metrics._average_ranks(scores).tobytes()
+                    == rankdata(scores).tobytes())
+            assert metrics.auroc(scores, labels) == rankdata_auroc(scores, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        scores = [0.1, 0.4, bad, 0.8]
+        with pytest.raises(ValueError, match="1 of 4 are NaN or infinite"):
+            metrics.auroc(scores, [0, 1, 0, 1])
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,14 @@
 
 Oracle for the affine solve: build the full 6x6 linear system over the
 parameters (a11, a12, a21, a22, t1, t2) and solve it with numpy, then
-compare the recovered mapping pointwise.
+compare the recovered mapping pointwise.  Oracle for the warp:
+``scipy.ndimage.map_coordinates`` (order 1, constant 0 fill) frame by
+frame, compared byte for byte.
 """
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from cardiofuse.registration import (AffineTransform, DegenerateLandmarksError,
                                      LandmarkSet, affine_from_landmarks,
@@ -122,6 +125,108 @@ class TestWarpStack:
         a = AffineTransform(matrix=np.eye(2) * 1.1, offset=np.array([0.3, -0.2]))
         out = warp_stack(t, a)
         np.testing.assert_array_equal(out[:, :, 0], out[:, :, 1])
+
+
+def ndimage_warp(t, a: AffineTransform) -> np.ndarray:
+    """Oracle: one ``map_coordinates`` call per frame."""
+    h, w, n_frames = t.shape
+    cols, rows = np.meshgrid(np.arange(w), np.arange(h))
+    src = a.apply(np.stack([cols.ravel(), rows.ravel()], axis=1))
+    coords = np.stack([src[:, 1], src[:, 0]])  # (row, col)
+    out = np.empty(t.shape)
+    for k in range(n_frames):
+        out[:, :, k] = map_coordinates(
+            t[:, :, k], coords, order=1, mode="constant", cval=0.0
+        ).reshape(h, w)
+    return out
+
+
+def assert_same_bytes_as_ndimage(t, a: AffineTransform):
+    out = warp_stack(t, a)
+    assert out.shape == t.shape and out.dtype == np.float64
+    assert out.tobytes() == ndimage_warp(t, a).tobytes()
+
+
+def shift(dx: float, dy: float) -> AffineTransform:
+    return AffineTransform(np.eye(2), np.array([dx, dy]))
+
+
+class TestWarpMatchesNdimage:
+    """Byte-for-byte equality with the per-frame ndimage resampling."""
+
+    def test_random_affines(self):
+        rng = np.random.default_rng(10)
+        for shape in [(32, 32, 8), (48, 48, 8), (7, 13, 3), (1, 5, 2)]:
+            for _ in range(40):
+                t = rng.normal(size=shape)
+                angle, scale = rng.normal(0.0, 0.3), 1.0 + rng.normal(0.0, 0.2)
+                c, s = np.cos(angle), np.sin(angle)
+                a = AffineTransform(scale * np.array([[c, -s], [s, c]])
+                                    + rng.normal(0.0, 0.05, (2, 2)),
+                                    rng.normal(0.0, 3.0, 2))
+                assert_same_bytes_as_ndimage(t, a)
+
+    def test_fractions_below_half(self):
+        # w1 = 1 - w0 differs from f in the last bit when f < 0.5
+        rng = np.random.default_rng(11)
+        t = rng.normal(size=(9, 9, 2))
+        for f in [1e-17, 1e-9, 0.1, 0.2, 0.3, 1 / 3, 0.45, 0.49999999999]:
+            assert_same_bytes_as_ndimage(t, shift(f, f))
+            assert_same_bytes_as_ndimage(t, shift(rng.uniform(0, 0.5), 0.0))
+        # every sample point inside [0, 0.5) of the first pixel
+        scale = AffineTransform(np.eye(2) * 0.05, np.zeros(2))
+        assert_same_bytes_as_ndimage(t, scale)
+
+    def test_coordinates_exactly_at_upper_edge(self):
+        rng = np.random.default_rng(12)
+        h, w = 6, 9
+        t = rng.normal(size=(h, w, 3))
+        # sample points exactly on column w - 1 or row h - 1 ...
+        for a in (shift(w - 1, 0.0), shift(0.0, h - 1),
+                  AffineTransform(np.zeros((2, 2)), np.array([w - 1.0, h - 1.0]))):
+            out = warp_stack(t, a)
+            assert out.tobytes() == ndimage_warp(t, a).tobytes()
+        # ... where the upper tap weighs 0 and the sample is the edge value
+        np.testing.assert_array_equal(out, np.broadcast_to(t[-1, -1], t.shape))
+
+    def test_points_just_outside_are_zero(self):
+        rng = np.random.default_rng(13)
+        h, w = 7, 8
+        t = rng.normal(size=(h, w, 2)) + 5.0
+        eps = 1e-12
+        for dx, dy in [(-eps, 0.0), (0.0, -eps), (eps, 0.0), (0.0, eps),
+                       (-eps, -eps), (w + 0.5, 0.0), (0.0, -h)]:
+            assert_same_bytes_as_ndimage(t, shift(dx, dy))
+        # x = w - 1 + eps and x = -eps lie outside [0, w - 1]: zero fill
+        assert np.all(warp_stack(t, shift(eps, 0.0))[:, -1, :] == 0.0)
+        assert np.all(warp_stack(t, shift(-eps, 0.0))[:, 0, :] == 0.0)
+        assert np.all(warp_stack(t, shift(0.0, eps))[-1, :, :] == 0.0)
+        assert np.all(warp_stack(t, shift(-eps, 0.0))[:, 1:, :] != 0.0)
+
+    def test_identity_and_integer_shifts(self):
+        rng = np.random.default_rng(14)
+        t = rng.normal(size=(8, 10, 4))
+        assert_same_bytes_as_ndimage(t, AffineTransform.identity())
+        for dx, dy in [(1, 0), (0, 1), (-2, 3), (4, -1), (10, 0), (-9, -8)]:
+            assert_same_bytes_as_ndimage(t, shift(dx, dy))
+        # the taps add to +0.0, so a -0.0 sample comes out as +0.0
+        zeros = np.full((4, 5, 2), -0.0)
+        assert_same_bytes_as_ndimage(zeros, AffineTransform.identity())
+        assert not np.signbit(warp_stack(zeros, shift(1, 0))).any()
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(15)
+        base = rng.normal(size=(20, 24, 10))
+        a = AffineTransform(np.array([[1.03, 0.04], [-0.02, 0.97]]),
+                            np.array([0.6, -1.3]))
+        for t in (base[::2, 1::2, ::3], np.asfortranarray(base),
+                  base.transpose(1, 0, 2)):
+            assert not t.flags.c_contiguous
+            assert_same_bytes_as_ndimage(t, a)
+        # an integer stack is read as float64
+        ints = rng.integers(-5, 5, size=(6, 6, 2))
+        assert warp_stack(ints, a).tobytes() == ndimage_warp(
+            ints.astype(np.float64), a).tobytes()
 
 
 class TestTemplate:
