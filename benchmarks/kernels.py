@@ -10,15 +10,28 @@ of the benchmark's ``default`` workload), ``mpca.fit`` (280 stacks of
 32 x 32 x 8, one refinement pass) and ``tensor3.mode_n_product`` (a
 32 x 32 x 8 stack by a 30 x 32, 30 x 32 and 8 x 8 matrix along modes 1, 2
 and 3), ``registration.warp_stack`` (a 32 x 32 x 8 and a 48 x 48 x 8 stack
-under a small rotation, scaling and shift, as in ``register_stack``) and a
-cold ``import cardiofuse.pipeline`` (a fresh interpreter per sample, so the
-time includes the interpreter's own start-up; that part is the same for
-both trees).  With ``--baseline-src`` a second source tree is imported beside
+under a small rotation, scaling and shift, as in ``register_stack``),
+``mpca.fisher_rank`` (224 x 33,856, the shape of the train latents of the
+benchmark's ``imaging_hires`` workload), ``mpca.transform_flat`` (224
+stacks of 48 x 48 x 8 onto 46 x 46 x 8) and a cold
+``import cardiofuse.pipeline`` (a fresh interpreter per sample, so the time
+includes the interpreter's own start-up; that part is the same for both
+trees).  With ``--baseline-src`` a second source tree is imported beside
 this one under another package name; each round times every kernel once
 in each tree, alternating which tree goes first, so drift in the
 machine's speed reaches both alike.  The minimum over ``--repeats``
 rounds is reported, with every sample, and whether the baseline's output
 equals this tree's byte for byte (null for the import, which has no output).
+Beside ``speedup``, the ratio of the two minima, ``paired_speedup`` is the
+median over rounds of baseline / current within a round, with its
+quartiles: a round times both trees back to back, so drift in the
+machine's speed cancels in its ratio, and on a kernel both trees share
+the paired median stays within a few percent of 1 where the ratio of
+minima can read 0.80 or 1.12 at 15 rounds.
+After the timed rounds each kernel runs once more per tree under
+``tracemalloc``, which numpy reports its allocations to; ``<tree>_peak_mib``
+is the peak it allocated above what was allocated when it started (null for
+the import, whose allocations are in a child process).
 
 BLAS runs on one thread (``OPENBLAS_NUM_THREADS`` and its siblings are set
 before numpy loads); the JSON records the thread count OpenBLAS reports,
@@ -45,6 +58,7 @@ import platform  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -77,10 +91,16 @@ def inputs() -> dict:
     angle, scale = 0.04, 1.03
     warp_matrix = scale * np.array([[np.cos(angle), -np.sin(angle)],
                                     [np.sin(angle), np.cos(angle)]])
+    hires_basis = rng.normal(size=(48, 48, 8))
+    hires = [hires_basis * rng.normal() + 0.5 * rng.normal(size=(48, 48, 8))
+             for _ in range(224)]
     return {"x": x, "y": y.astype(np.int64), "stacks": stacks,
             "tensor": stacks[0], "mats": mats,
             "warp_stacks": {h: rng.normal(size=(h, h, 8)) for h in (32, 48)},
-            "warp_affine": (warp_matrix, np.array([0.7, -1.2]))}
+            "warp_affine": (warp_matrix, np.array([0.7, -1.2])),
+            "latents": rng.normal(size=(224, 33_856)),
+            "latent_labels": rng.integers(0, 2, 224),
+            "hires_stacks": hires}
 
 
 PRODUCT_CALLS = 300  # mode products per sample: one call is ~10 us
@@ -92,6 +112,8 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
     svm, mpca, tensor3 = mods["svm"], mods["mpca"], mods["tensor3"]
     registration = mods["registration"]
     affine = registration.AffineTransform(*data["warp_affine"])
+    hires_model = mpca.fit(data["hires_stacks"], max_iters=0,
+                           target_dims=(46, 46, 8))
 
     def train():
         clf = svm.train_linear(data["x"], data["y"], C=0.1, epochs=15, seed=0)
@@ -116,6 +138,12 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
             return [out]
         return fn
 
+    def rank():
+        return list(mpca.fisher_rank(data["latents"], data["latent_labels"]))
+
+    def project():
+        return [mpca.transform_flat(hires_model, data["hires_stacks"])]
+
     def cold_import():
         subprocess.run([sys.executable, "-c", "import cardiofuse.pipeline"],
                        env={**os.environ, "PYTHONPATH": str(src)}, check=True)
@@ -129,6 +157,9 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
                                             WARP_CALLS),
         "registration.warp_stack 48x48x8": ("48x48x8, per call", warp(48),
                                             WARP_CALLS),
+        "mpca.fisher_rank": ("224 x 33,856", rank, 1),
+        "mpca.transform_flat": ("224 x 48x48x8 onto 46x46x8",
+                                project, 1),
         "import cardiofuse.pipeline": ("fresh interpreter, per process",
                                        cold_import, 1),
     }
@@ -173,11 +204,22 @@ def timed_ms(fn, calls: int) -> float:
     return 1e3 * (time.perf_counter() - start) / calls
 
 
+def traced_peak_mib(fn) -> float:
+    """Peak MiB traced while ``fn`` runs, above what was traced at its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--baseline-src", type=Path,
                    help="the src directory of a second tree to time")
-    p.add_argument("--repeats", type=int, default=7,
+    p.add_argument("--repeats", type=int, default=15,
                    help="rounds; the minimum over them is reported")
     p.add_argument("--out", type=Path, required=True, help="JSON result")
     args = p.parse_args(argv)
@@ -207,8 +249,17 @@ def main(argv=None) -> int:
         for tag in trees:
             entry[f"{tag}_min_ms"] = min(samples[name][tag])
             entry[f"{tag}_samples_ms"] = [round(s, 4) for s in samples[name][tag]]
+            entry[f"{tag}_peak_mib"] = (
+                None if outputs[name][tag] is None
+                else round(traced_peak_mib(suites[tag][name][1]), 3))
         if "baseline" in trees:
             entry["speedup"] = entry["baseline_min_ms"] / entry["current_min_ms"]
+            q1, median, q3 = np.percentile(
+                [b / c for b, c in zip(samples[name]["baseline"],
+                                       samples[name]["current"])],
+                [25, 50, 75])
+            entry["paired_speedup"] = float(median)
+            entry["paired_speedup_quartiles"] = [float(q1), float(q3)]
             current, baseline = outputs[name]["current"], outputs[name]["baseline"]
             entry["bit_identical"] = None if current is None else all(
                 a.dtype == b.dtype and a.shape == b.shape
@@ -216,8 +267,12 @@ def main(argv=None) -> int:
                 for a, b in zip(current, baseline))
         results[name] = entry
         print(f"{name:<32} " + "  ".join(
-            f"{tag} {entry[f'{tag}_min_ms']:9.3f} ms" for tag in trees)
-            + (f"  x{entry['speedup']:.2f}  identical {entry['bit_identical']}"
+            f"{tag} {entry[f'{tag}_min_ms']:9.3f} ms"
+            + ("" if entry[f"{tag}_peak_mib"] is None
+               else f" {entry[f'{tag}_peak_mib']:8.2f} MiB")
+            for tag in trees)
+            + (f"  x{entry['speedup']:.2f} (paired x{entry['paired_speedup']:.2f})"
+               f"  identical {entry['bit_identical']}"
                if "baseline" in trees else ""))
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -244,10 +244,15 @@ def _imaging_features(splits, modalities: list[str], mode: str,
             for tensors in per_mod
         ]
         def project(stacks):
-            # mode-3 concatenation of the latents, for all subjects at once
-            latents = [np.stack([mpca.transform(model, ts[i]) for ts in stacks])
-                       for i, model in enumerate(models)]
-            return np.concatenate(latents, axis=3).reshape(len(stacks), -1)
+            # mode-3 concatenation of the latents, each written into its
+            # slice of one preallocated array
+            j1, j2, j3 = shared
+            out = np.empty((len(stacks), j1, j2, len(models) * j3))
+            for i, model in enumerate(models):
+                for latent, ts in zip(out, stacks):
+                    latent[:, :, i * j3:(i + 1) * j3] = mpca.transform(model,
+                                                                      ts[i])
+            return out.reshape(len(stacks), -1)
     else:
         raise ValueError(f"unknown imaging fusion mode {mode!r}")
 

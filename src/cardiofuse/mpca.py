@@ -21,6 +21,9 @@ DEFAULT_KAPPA = 210
 DEFAULT_VARIANCE_FRACTION = 0.97
 
 _FISHER_VAR_FLOOR = 1e-12
+# columns per block in fisher_rank: class copies and `var` temporaries are
+# M x this, not M x F
+FISHER_BLOCK = 2048
 
 
 @dataclass
@@ -161,8 +164,24 @@ def transform(model: MpcaModel, t: np.ndarray) -> np.ndarray:
 
 
 def transform_flat(model: MpcaModel, samples: list[np.ndarray]) -> np.ndarray:
-    """Project and flatten samples to an (M, J1*J2*J3) feature matrix."""
-    return np.stack([transform(model, s).ravel() for s in samples])
+    """Project and flatten samples to an (M, J1*J2*J3) feature matrix.
+
+    Each projection is written into one preallocated matrix, so the
+    samples' latents are never held twice.
+    """
+    out = np.empty((len(samples), model.n_features))
+    for row, s in zip(out, samples):
+        row[:] = transform(model, s).ravel()
+    return out
+
+
+def _column_blocks(n: int, width: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` column ranges of ``width``; a one-column tail is
+    merged into the block before it."""
+    edges = list(range(0, n, width)) + [n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def fisher_rank(features: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -172,21 +191,33 @@ def fisher_rank(features: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     denominator floored so perfectly separating features rank first.
     Returns (order, scores); ``order`` is an argsort by descending score
     with index as the deterministic tie-break.
+
+    The means and variances are computed over blocks of ``FISHER_BLOCK``
+    columns, so the class subsets and the temporaries of ``var`` are
+    block-sized copies rather than copies of the whole matrix.  The scores
+    are bit-identical to one pass over all columns: numpy reduces every
+    column of a block the same way as every column of the full matrix, row
+    by row for C order and pairwise for F order.  A block of one column
+    would be reduced pairwise whatever the order, so no block is one column
+    wide unless the matrix is: a one-column tail joins the block before it.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     classes = np.unique(y)
     if len(classes) < 2:
         raise ValueError("Fisher ranking needs both classes present")
-    mu = x.mean(axis=0)
+    members = [np.flatnonzero(y == c) for c in classes]
     between = np.zeros(x.shape[1])
     within = np.zeros(x.shape[1])
-    for c in classes:
-        xc = x[y == c]
-        n_c = len(xc)
-        mu_c = xc.mean(axis=0)
-        between += n_c * (mu_c - mu) ** 2
-        within += n_c * xc.var(axis=0)
+    for start, stop in _column_blocks(x.shape[1], FISHER_BLOCK):
+        block = x[:, start:stop]
+        mu = block.mean(axis=0)
+        for rows in members:
+            xc = block[rows]
+            n_c = len(xc)
+            mu_c = xc.mean(axis=0)
+            between[start:stop] += n_c * (mu_c - mu) ** 2
+            within[start:stop] += n_c * xc.var(axis=0)
     scores = np.where(
         between == 0.0, 0.0, between / np.maximum(within, _FISHER_VAR_FLOOR)
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import resource
 import time
 from pathlib import Path
 
@@ -309,11 +310,38 @@ def dca_svg(curve) -> str:
                           y_label="Net benefit")
 
 
+class _StageLog:
+    """Which stage is running, and its clock; each finished stage appends
+    its manifest entry."""
+
+    def __init__(self, manifest: dict):
+        self.manifest = manifest
+        self.running: str | None = None
+        self.start = 0.0
+
+    def begin(self, name: str) -> None:
+        self.running, self.start = name, time.monotonic()
+
+    def record(self, **artifacts) -> None:
+        # the process's peak resident set so far; ru_maxrss counts KiB
+        max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        self.manifest["stages"].append(
+            {"name": self.running,
+             "wall_clock_s": round(time.monotonic() - self.start, 3),
+             "max_rss_mb": round(max_rss / 1024, 1)}
+        )
+        self.manifest["artifacts"].update(artifacts)
+
+
 def run_all(cfg: dict, out_dir) -> dict:
-    """Execute all enabled stages; write artifacts; return the manifest."""
+    """Execute all enabled stages; write artifacts; return the manifest.
+
+    ``manifest.json`` is written even when a stage raises: it then names
+    the stage (``failed_stage``, ``load`` for reading the study) and the
+    ``error``, and the exception propagates.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stages = cfg["stages"]
     manifest = {
         "config": cfg,
         "seed": cfg["seed"],
@@ -321,48 +349,57 @@ def run_all(cfg: dict, out_dir) -> dict:
         "stages": [],
         "artifacts": {},
     }
+    log = _StageLog(manifest)
+    try:
+        _run_stages(cfg, out, log)
+    except BaseException as exc:  # an interrupt leaves a failed run too
+        manifest["failed_stage"] = log.running
+        manifest["error"] = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        (out / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2), encoding="utf-8")
+    return manifest
 
-    def record(name, start, **artifacts):
-        manifest["stages"].append(
-            {"name": name, "wall_clock_s": round(time.monotonic() - start, 3)}
-        )
-        manifest["artifacts"].update(artifacts)
 
+def _run_stages(cfg: dict, out: Path, log: _StageLog) -> None:
+    stages = cfg["stages"]
     study = None
     result = None
     selected = None
     if stages.get("generate"):
-        start = time.monotonic()
+        log.begin("generate")
         stage_generate(cfg, cfg["data_dir"])
-        record("generate", start, data_dir=str(cfg["data_dir"]))
+        log.record(data_dir=str(cfg["data_dir"]))
     needs_study = any(stages[k] for k in
                       ("preprocess", "filtering", "select_features", "train"))
     if needs_study:
+        log.begin("load")
         study = stage_load(cfg)
 
     if stages["preprocess"]:
-        start = time.monotonic()
+        log.begin("preprocess")
         stage_preprocess(study)
-        record("preprocess", start)
+        log.record()
 
     if stages["filtering"]:
-        start = time.monotonic()
+        log.begin("filtering")
         report = stage_filtering(study, cfg)
         path = out / "filter_report.json"
         path.write_text(report.to_json(), encoding="utf-8")
-        record("filtering", start, filter_report=str(path))
+        log.record(filter_report=str(path))
 
     if stages["select_features"]:
-        start = time.monotonic()
+        log.begin("select_features")
         importance = stage_select_features(study, cfg)
         path = out / "feature_importance.csv"
         path.write_text(importance.to_csv(), encoding="utf-8")
         selected = importance.selected
-        manifest["gat"] = importance.convergence
-        record("select_features", start, feature_importance=str(path))
+        log.manifest["gat"] = importance.convergence
+        log.record(feature_importance=str(path))
 
     if stages["train"]:
-        start = time.monotonic()
+        log.begin("train")
         ehr_features = selected if EHR in cfg["fusion"]["modalities"] else None
         result = stage_train(study, cfg, ehr_features)
         scores_path = out / "test_scores.csv"
@@ -374,31 +411,24 @@ def run_all(cfg: dict, out_dir) -> dict:
         run_path = out / "run_manifest.json"
         run_path.write_text(json.dumps(result.manifest(), sort_keys=True,
                                        indent=2), encoding="utf-8")
-        record("train", start, test_scores=str(scores_path),
-               run_manifest=str(run_path))
+        log.record(test_scores=str(scores_path), run_manifest=str(run_path))
 
     if stages["evaluate"]:
+        log.begin("evaluate")
         if result is None:
             raise RuntimeError("evaluate stage needs the train stage enabled")
-        start = time.monotonic()
         report, segments = stage_evaluate(result, study)
         report_path = out / "eval_report.json"
         report_path.write_text(report.to_json(), encoding="utf-8")
         seg_path = out / "segment_metrics.json"
         seg_path.write_text(json.dumps(segments, sort_keys=True, indent=2),
                             encoding="utf-8")
-        record("evaluate", start, eval_report=str(report_path),
-               segment_metrics=str(seg_path))
+        log.record(eval_report=str(report_path), segment_metrics=str(seg_path))
         if stages["dca"]:
-            start = time.monotonic()
+            log.begin("dca")
             csv_path = out / "dca_curve.csv"
             csv_path.write_text(metrics.dca_curve_csv(report.dca_curve),
                                 encoding="utf-8")
             svg_path = out / "dca_curve.svg"
             svg_path.write_text(dca_svg(report.dca_curve), encoding="utf-8")
-            record("dca", start, dca_csv=str(csv_path), dca_svg=str(svg_path))
-
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2),
-                             encoding="utf-8")
-    return manifest
+            log.record(dca_csv=str(csv_path), dca_svg=str(svg_path))

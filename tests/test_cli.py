@@ -163,6 +163,39 @@ class TestRunCommand:
         assert abs(gat_run["mean_degree"]
                    - FAST_OVERRIDES["gat"]["target_degree"]) <= 1.0
 
+    def test_manifest_records_running_peak_rss(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--stage", "generate=on"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        peaks = [s["max_rss_mb"] for s in manifest["stages"]]
+        assert len(peaks) == 7  # generate and the six pipeline stages
+        assert peaks[0] > 0
+        # a running maximum: never falls from one stage to the next
+        assert peaks == sorted(peaks)
+
+    def test_failed_stage_writes_manifest_naming_stage_and_subject(
+            self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["generate", "--config", str(cfg_path)]) == 0
+        landmarks = tmp_path / "data" / "landmarks.csv"
+        header, *rows = landmarks.read_text().splitlines()
+        sid, modality = rows[0].split(",")[:2]
+        bad = []
+        for row in rows:  # put the subject's three points on one line
+            cells = row.split(",")
+            if cells[:2] == [sid, modality]:
+                cells[3] = cells[4] = str(float(cells[2]))
+            bad.append(",".join(cells))
+        landmarks.write_text("\n".join([header, *bad]) + "\n")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        assert "run failed" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "preprocess"
+        assert manifest["error"] == (f"DegenerateLandmarksError: subject {sid}"
+                                     f" {modality} landmarks are collinear")
+        assert manifest["stages"] == []
+
     def test_run_manifest_records_cv_curve_and_mpca(self, tmp_path):
         cfg_path = write_config(tmp_path, svm={"fixed_c": None, "epochs": 5,
                                                "folds": 3,

@@ -258,6 +258,29 @@ class TestRunPlan:
         np.testing.assert_array_equal(x["validation"],
                                       per_subject(splits["validation"])[:, order])
 
+    def test_intermediate_latents_equal_concatenated_stacks(self,
+                                                            small_study):
+        """Writing each latent into its slice of one preallocated array
+        gives the bytes of stacking each modality's latents and
+        concatenating them along mode 3."""
+        splits = fusion._splits(small_study)
+        config = PipelineConfig(kappa=10 ** 6)
+        x, _, models = fusion._imaging_features(
+            splits, [SA, FC], "intermediate", config)
+
+        def concatenated(subjects):
+            latents = [np.stack([mpca.transform(model, s.tensors[m])
+                                 for s in subjects])
+                       for m, model in zip((SA, FC), models)]
+            return np.concatenate(latents, axis=3).reshape(len(subjects), -1)
+
+        train = concatenated(splits["train"])
+        order, _ = mpca.fisher_rank(train, [s.label for s in splits["train"]])
+        for tag in ("train", "validation", "test"):
+            expected = concatenated(splits[tag])[:, order]
+            assert x[tag].shape == expected.shape
+            assert x[tag].tobytes() == expected.tobytes(), tag
+
     def test_manifest_cv_null_under_fixed_c(self, small_study):
         result = run_plan(FusionPlan("early", [SA]), small_study, FAST)
         (entry,) = result.manifest()["branches"]

@@ -1,6 +1,9 @@
 """MPCA tests: optimality against random projections, losslessness,
-Fisher-score oracle, serialization round-trip.
+Fisher-score oracle, bit-identity of the blocked Fisher ranking and the
+preallocated projection, and their memory peaks.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +255,120 @@ class TestFisher:
         shift = rng.normal(size=6)
         order2, _ = mpca.fisher_rank(x * scale + shift, labels)
         np.testing.assert_array_equal(order1, order2)
+
+
+def unblocked_fisher_rank(features, labels):
+    """``mpca.fisher_rank`` as it was before column blocking, verbatim."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    classes = np.unique(y)
+    if len(classes) < 2:
+        raise ValueError("Fisher ranking needs both classes present")
+    mu = x.mean(axis=0)
+    between = np.zeros(x.shape[1])
+    within = np.zeros(x.shape[1])
+    for c in classes:
+        xc = x[y == c]
+        n_c = len(xc)
+        mu_c = xc.mean(axis=0)
+        between += n_c * (mu_c - mu) ** 2
+        within += n_c * xc.var(axis=0)
+    scores = np.where(
+        between == 0.0, 0.0, between / np.maximum(within, mpca._FISHER_VAR_FLOOR)
+    )
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return order, scores
+
+
+B = mpca.FISHER_BLOCK
+
+
+class TestFisherBlocked:
+    """The column-blocked ranking equals one pass over all columns, byte
+    for byte, at every width around the block edges."""
+
+    @staticmethod
+    def assert_bit_identical(x, labels):
+        order, scores = mpca.fisher_rank(x, labels)
+        ref_order, ref_scores = unblocked_fisher_rank(x, labels)
+        assert scores.tobytes() == ref_scores.tobytes()
+        assert order.tobytes() == ref_order.tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("width", [1, 2, B - 1, B, B + 1, 2 * B + 1])
+    def test_matches_unblocked(self, width, layout):
+        # 150 rows: numpy sums a lone column pairwise, in blocks of 8, which
+        # differs from the row-by-row sum of a wider block; on these seeds
+        # a one-column tail block changes the B + 1 and 2B + 1 scores
+        rng = np.random.default_rng(width + 1)
+        x = rng.normal(size=(150, width)) * rng.uniform(0.5, 50.0, size=width)
+        labels = rng.integers(0, 2, 150)
+        self.assert_bit_identical(np.asarray(x, order=layout), labels)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_ties_and_constant_column(self, layout):
+        rng = np.random.default_rng(30)
+        x = np.round(rng.normal(size=(90, B + 3)), 1)
+        x[:, 5] = 7.0
+        labels = np.arange(90) % 2
+        self.assert_bit_identical(np.asarray(x, order=layout), labels)
+        assert mpca.fisher_rank(x, labels)[1][5] == 0.0
+
+    def test_single_member_class(self):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(40, B + 1))
+        labels = np.zeros(40, dtype=np.int64)
+        labels[17] = 1
+        self.assert_bit_identical(x, labels)
+
+    @pytest.mark.parametrize("n, blocks", [
+        (1, [(0, 1)]), (2, [(0, 2)]), (B, [(0, B)]), (B + 1, [(0, B + 1)]),
+        (B + 2, [(0, B), (B, B + 2)]),
+        (2 * B + 1, [(0, B), (B, 2 * B + 1)]),
+    ])
+    def test_no_one_column_block_unless_one_column(self, n, blocks):
+        assert mpca._column_blocks(n, B) == blocks
+
+
+def traced_peak(fn, *args):
+    """Peak bytes numpy and Python allocate while ``fn(*args)`` runs, less
+    what was allocated when it started; and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+class TestMemory:
+    def test_fisher_rank_peak_is_block_sized(self):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(224, 20_000))
+        labels = np.arange(224) % 2
+        peak, _ = traced_peak(mpca.fisher_rank, x, labels)
+        # the whole-matrix version peaks at about 1.08 x the input
+        assert peak < x.nbytes / 4
+
+    def test_transform_flat_peak_is_its_output(self):
+        samples = random_samples(120, (12, 12, 6), seed=33)
+        model = mpca.fit(samples, target_dims=(11, 11, 6))
+        peak, out = traced_peak(mpca.transform_flat, model, samples)
+        # a list of latents stacked afterwards would hold the output twice
+        assert peak < out.nbytes + 4 * samples[0].nbytes
+
+
+class TestTransformFlat:
+    def test_equals_stacked_latents(self):
+        samples = random_samples(9, (5, 4, 3), seed=34)
+        model = mpca.fit(samples, target_dims=(3, 2, 3))
+        expected = np.stack([mpca.transform(model, s).ravel()
+                             for s in samples])
+        out = mpca.transform_flat(model, samples)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestSelectTop:
