@@ -28,6 +28,12 @@ quartiles: a round times both trees back to back, so drift in the
 machine's speed cancels in its ratio, and on a kernel both trees share
 the paired median stays within a few percent of 1 where the ratio of
 minima can read 0.80 or 1.12 at 15 rounds.
+For ``svm.train_linear`` the quality of the solution is reported too:
+``<tree>_objective`` is the hinge objective
+0.5 |w|^2 + C sum_i max(0, 1 - y_i (w.x_i + b)) of each tree's classifier
+on the same standardized input (computed here, not by the package), and
+``objective_ratio`` is current / baseline, printed beside ``bit_identical``:
+below 1 the current solver reached the lower objective.
 After the timed rounds each kernel runs once more per tree under
 ``tracemalloc``, which numpy reports its allocations to; ``<tree>_peak_mib``
 is the peak it allocated above what was allocated when it started (null for
@@ -103,6 +109,24 @@ def inputs() -> dict:
             "hires_stacks": hires}
 
 
+SVM_C = 0.1  # the C of the svm.train_linear kernel
+
+
+def svm_objective(data: dict, output) -> float:
+    """Hinge objective of ``train_linear``'s output (weights, bias) on the
+    kernel's input, standardized as ``train_linear`` standardizes it."""
+    x = data["x"]
+    std = x.std(axis=0)
+    x = (x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+    y_pm = np.where(data["y"] == 1, 1.0, -1.0)
+    w, b = output[0], float(output[1][0])
+    margins = 1.0 - y_pm * (x @ w + b)
+    return 0.5 * float(w @ w) + SVM_C * float(np.sum(np.maximum(margins, 0.0)))
+
+
+# kernel name -> fn(inputs, output) -> a solution-quality number
+QUALITY = {"svm.train_linear": svm_objective}
+
 PRODUCT_CALLS = 300  # mode products per sample: one call is ~10 us
 WARP_CALLS = 100  # warps per sample: one call is ~0.5 ms
 
@@ -116,7 +140,8 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
                            target_dims=(46, 46, 8))
 
     def train():
-        clf = svm.train_linear(data["x"], data["y"], C=0.1, epochs=15, seed=0)
+        clf = svm.train_linear(data["x"], data["y"], C=SVM_C, epochs=15,
+                               seed=0)
         return [clf.weights, np.array([clf.bias])]
 
     def fit():
@@ -252,6 +277,13 @@ def main(argv=None) -> int:
             entry[f"{tag}_peak_mib"] = (
                 None if outputs[name][tag] is None
                 else round(traced_peak_mib(suites[tag][name][1]), 3))
+        if name in QUALITY:
+            for tag in trees:
+                entry[f"{tag}_objective"] = QUALITY[name](
+                    data, outputs[name][tag])
+            if "baseline" in trees:
+                entry["objective_ratio"] = (entry["current_objective"]
+                                            / entry["baseline_objective"])
         if "baseline" in trees:
             entry["speedup"] = entry["baseline_min_ms"] / entry["current_min_ms"]
             q1, median, q3 = np.percentile(
@@ -273,7 +305,11 @@ def main(argv=None) -> int:
             for tag in trees)
             + (f"  x{entry['speedup']:.2f} (paired x{entry['paired_speedup']:.2f})"
                f"  identical {entry['bit_identical']}"
-               if "baseline" in trees else ""))
+               if "baseline" in trees else "")
+            + (f"  objective {entry['current_objective']:.6g}"
+               + (f" (ratio {entry['objective_ratio']:.6f})"
+                  if "baseline" in trees else "")
+               if name in QUALITY else ""))
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {

@@ -46,6 +46,17 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _failed_stage(out_dir: Path) -> str | None:
+    """The stage a failed run names in its ``manifest.json``, if it wrote
+    one."""
+    try:
+        manifest = json.loads((out_dir / "manifest.json").read_text(
+            encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    return manifest.get("failed_stage")
+
+
 def cmd_run(args) -> int:
     cfg = _common_config(args)
     for toggle in args.stage or []:
@@ -57,7 +68,9 @@ def cmd_run(args) -> int:
     try:
         manifest = pipeline.run_all(cfg, cfg["out_dir"])
     except Exception as exc:  # noqa: BLE001 - abort with stage diagnostic
-        print(f"run failed: {exc}", file=sys.stderr)
+        stage = _failed_stage(Path(cfg["out_dir"]))
+        print(f"run failed{f' in {stage}' if stage else ''}: {exc}",
+              file=sys.stderr)
         return 1
     print(f"completed stages: {[s['name'] for s in manifest['stages']]}")
     return 0

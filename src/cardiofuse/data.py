@@ -85,6 +85,7 @@ class StudyTable:
     subjects: list[Subject]
     feature_names: list[str] = field(default_factory=list)
     exclusions: list[tuple[str, str]] = field(default_factory=list)
+    cleaning: CleaningReport | None = None  # set by clean_tabular
 
     def ids(self) -> list[str]:
         return [s.id for s in self.subjects]
@@ -129,7 +130,7 @@ def _numeric(path, cell: str, what: str) -> float:
         raise StudyFormatError(f"{path}: non-numeric {what}: {cell!r}")
 
 
-def load_study(directory, required_modalities=MODALITIES) -> StudyTable:
+def load_study(directory) -> StudyTable:
     """Assemble a StudyTable from a study directory, joining on subject_id.
 
     Subjects missing a required tensor, labels or landmarks are excluded
@@ -184,7 +185,7 @@ def load_study(directory, required_modalities=MODALITIES) -> StudyTable:
             continue
         tensors = {}
         missing = None
-        for modality in required_modalities:
+        for modality in MODALITIES:
             path = directory / "tensors" / f"{sid}_{modality}.hft"
             if not path.exists():
                 missing = f"missing tensor {path.name}"
@@ -195,7 +196,7 @@ def load_study(directory, required_modalities=MODALITIES) -> StudyTable:
             continue
         lms = {}
         bad = None
-        for modality in required_modalities:
+        for modality in MODALITIES:
             entries = sorted(landmark_rows.get(sid, {}).get(modality, []))
             if len(entries) != N_LANDMARKS:
                 bad = f"expected {N_LANDMARKS} {modality} landmarks, got {len(entries)}"
@@ -230,12 +231,14 @@ def clean_tabular(table: StudyTable,
     """Drop features with too many missing values; mean-impute the rest.
 
     Imputation means come from the training split only.  Modifies the
-    table in place and returns the report.
+    table in place, and returns the report it also keeps as
+    ``table.cleaning``.
     """
     if not 0.0 <= max_missing_fraction <= 1.0:
         raise ValueError("max_missing_fraction must be in [0, 1]")
     if not table.subjects:
-        return CleaningReport(dropped_columns=[], imputed_counts={})
+        table.cleaning = CleaningReport(dropped_columns=[], imputed_counts={})
+        return table.cleaning
     x = table.tabular_matrix()
     train_subjects = table.by_split("train", "validation") or table.subjects
     x_train = table.tabular_matrix(train_subjects)
@@ -266,7 +269,9 @@ def clean_tabular(table: StudyTable,
         cleaned[nan_mask] = means[keep][nan_mask]
         s.tabular = cleaned
     table.feature_names = kept_names
-    return CleaningReport(dropped_columns=dropped, imputed_counts=imputed_counts)
+    table.cleaning = CleaningReport(dropped_columns=dropped,
+                                    imputed_counts=imputed_counts)
+    return table.cleaning
 
 
 # --- splitting -------------------------------------------------------------

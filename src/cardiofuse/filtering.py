@@ -48,8 +48,8 @@ def _pooled_landmarks(subjects) -> list[tuple[float, str, str, int]]:
 
 
 def filter_training_samples(train_subjects, Q: int, eval_fn,
-                            min_improvement: float = MIN_IMPROVEMENT,
-                            patience: int = PATIENCE) -> FilterReport:
+                            min_improvement: float = MIN_IMPROVEMENT
+                            ) -> FilterReport:
     """Iterative quantile filtering driven by a validation-AUROC callback.
 
     ``eval_fn`` receives the list of candidate training subject ids and
@@ -98,7 +98,7 @@ def filter_training_samples(train_subjects, Q: int, eval_fn,
             stale = 0
         else:
             stale += 1
-            if stale >= patience:
+            if stale >= PATIENCE:
                 break
 
     return FilterReport(

@@ -7,11 +7,11 @@
 - hybrid: early or intermediate on the imaging pair, then late with the
   tabular branch.
 
-``run_plan`` executes the full DAG.  Every branch (MPCA, Fisher ranking,
-classifier) is fitted on the train split only; the late-fusion scale and
-weights that combine the branches are fitted on the branches' scores on the
-held-out validation split (``fit_late_fusion``).  Test labels are never
-read; callers join returned test scores with labels at metric time.
+``run_plan`` executes the full DAG.  ``fit_branch`` fits each branch (MPCA,
+Fisher ranking, classifier) on the train split only; the one combiner,
+each branch's scale and weight, is fitted on the branches' held-out
+validation scores (``fit_late_fusion``).  Test labels are never read;
+callers join returned test scores with labels at metric time.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ EHR = "ehr"
 class FusionPlan:
     strategy: str
     modalities: list[str]
-    late_weights: list[float] | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -117,53 +116,38 @@ def early_concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a, b], axis=2)
 
 
-
-def _normalized(weights, n_branches: int) -> np.ndarray:
-    """Late-fusion weights scaled to sum to 1; equal weights if None."""
-    if weights is None:
-        return np.full(n_branches, 1.0 / n_branches)
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != n_branches or np.any(weights < 0):
-        raise ValueError("weights must be nonnegative, one per branch")
-    total = weights.sum()
-    if total == 0:
-        raise ValueError("weights sum to zero")
-    return weights / total
-
-
-def late_fuse(score_vectors, weights=None, stats=None) -> np.ndarray:
+def late_fuse(score_vectors, weights, stats) -> np.ndarray:
     """Weighted mean of per-branch standardized decision scores.
 
-    ``stats`` is a list of (centre, scale) per branch so no branch's scale
-    dominates; ``run_plan`` takes them from ``fit_late_fusion``.  Without
-    them each vector is standardized by its own mean and std.
+    ``stats`` holds one (centre, scale) per branch, so no branch's scale
+    dominates, and ``weights`` one weight per branch, renormalized here to
+    sum to 1; ``run_plan`` takes both from ``fit_late_fusion``.
     """
     score_vectors = [np.asarray(s, dtype=np.float64) for s in score_vectors]
     lengths = {len(s) for s in score_vectors}
     if len(lengths) != 1:
         raise ValueError("branch score vectors differ in length")
-    weights = _normalized(weights, len(score_vectors))
-    if stats is None:
-        stats = [(float(np.mean(s)), float(np.std(s))) for s in score_vectors]
+    weights = np.asarray(weights, dtype=np.float64)
     fused = np.zeros(len(score_vectors[0]))
-    for w, s, (mean, std) in zip(weights, score_vectors, stats):
+    for w, s, (mean, std) in zip(weights / weights.sum(), score_vectors,
+                                 stats):
         fused += w * (s - mean) / max(std, 1e-12)
     return fused
 
 
-def fit_late_fusion(train_scores, val_scores, val_labels, weights=None):
+def fit_late_fusion(train_scores, val_scores, val_labels):
     """Per-branch ``late_fuse`` stats and weights, fitted on held-out scores.
 
     An overfit branch spreads its training scores far wider than its
     held-out ones, so the scale of each branch is the std of its validation
-    scores.  Unless ``weights`` are given, each branch is weighted by its
-    validation class separation: the difference of the class means of its
-    standardized validation scores, clipped at 0 so a branch that does not
-    separate held-out subjects drops out.  The combiner is thus fitted on
-    held-out predictions, as in stacked generalization (Wolpert, 1992).
-    If no branch separates, the weights are equal.  The centre stays at the
-    mean of the training scores, so a single-branch plan keeps its
-    ``score > 0`` operating point.
+    scores.  Each branch is weighted by its validation class separation:
+    the difference of the class means of its standardized validation
+    scores, clipped at 0 so a branch that does not separate held-out
+    subjects drops out.  The combiner is thus fitted on held-out
+    predictions, as in stacked generalization (Wolpert, 1992).  If no
+    branch separates, the weights are equal.  The centre stays at the mean
+    of the training scores, so a single-branch plan keeps its ``score > 0``
+    operating point.
 
     Returns ``(stats, weights)``: one (centre, scale) per branch, and the
     weights normalized to sum to 1.
@@ -181,9 +165,10 @@ def fit_late_fusion(train_scores, val_scores, val_labels, weights=None):
         stats.append((float(np.mean(train)), scale))
         gap = (np.mean(val[y == 1]) - np.mean(val[y == 0])) / scale
         separations.append(max(float(gap), 0.0))
-    if weights is None and sum(separations) > 0:
-        weights = separations
-    return stats, _normalized(weights, len(stats)).tolist()
+    total = np.sum(separations)
+    weights = (np.asarray(separations) / total if total > 0
+               else np.full(len(stats), 1.0 / len(stats)))
+    return stats, weights.tolist()
 
 
 def _splits(study: StudyTable) -> dict[str, list[Subject]]:
@@ -304,6 +289,34 @@ def _branch_specs(plan: FusionPlan) -> list[tuple[str, list[str], str]]:
     ]
 
 
+def fit_branch(name: str, modalities: list[str], mode: str,
+               splits: dict[str, list[Subject]], study: StudyTable,
+               config: PipelineConfig) -> BranchResult:
+    """Fit one branch's features, C and classifier on ``splits["train"]``;
+    score every split."""
+    y_train = np.asarray([s.label for s in splits["train"]], dtype=np.int64)
+    kappa = models = None
+    if mode == EHR:
+        x = _ehr_features(splits, study, config)
+    else:
+        x, kappa, models = _imaging_features(splits, modalities, mode, config)
+    x_train = x["train"]
+    cv = None
+    if config.fixed_c is not None:
+        chosen_c = config.fixed_c
+    else:
+        cv = grid_search_cv(x_train, y_train, grid=config.c_grid,
+                            folds=config.cv_folds, seed=config.seed,
+                            epochs=config.svm_epochs)
+        chosen_c = cv.chosen_c
+    clf = train_linear(x_train, y_train, C=chosen_c,
+                       epochs=config.svm_epochs, seed=config.seed)
+    scores = {tag: decision_scores(clf, x[tag]) for tag in splits}
+    return BranchResult(name=name, chosen_c=float(chosen_c), kappa=kappa,
+                        scores=scores, classifier=clf, cv=cv,
+                        mpca_models=models)
+
+
 def run_plan(plan: FusionPlan, study: StudyTable,
              config: PipelineConfig | None = None) -> RunResult:
     """Train every branch of the plan and emit fused decision scores."""
@@ -318,42 +331,17 @@ def run_plan(plan: FusionPlan, study: StudyTable,
         elif any(m not in s.tensors for s in splits["train"] + splits["test"]):
             raise ValueError(f"plan references missing modality {m!r}")
 
-    y_train = np.asarray([s.label for s in splits["train"]], dtype=np.int64)
-    branches = []
-    for name, modalities, mode in _branch_specs(plan):
-        kappa = models = None
-        if mode == EHR:
-            x = _ehr_features(splits, study, config)
-        else:
-            x, kappa, models = _imaging_features(splits, modalities, mode,
-                                                 config)
-        x_train = x["train"]
-        cv = None
-        if config.fixed_c is not None:
-            chosen_c = config.fixed_c
-        else:
-            cv = grid_search_cv(x_train, y_train, grid=config.c_grid,
-                                folds=config.cv_folds, seed=config.seed,
-                                epochs=config.svm_epochs)
-            chosen_c = cv.chosen_c
-        clf = train_linear(x_train, y_train, C=chosen_c,
-                           epochs=config.svm_epochs, seed=config.seed)
-        scores = {tag: decision_scores(clf, x[tag]) for tag in splits}
-        branches.append(BranchResult(name=name, chosen_c=float(chosen_c),
-                                     kappa=kappa, scores=scores,
-                                     classifier=clf, cv=cv,
-                                     mpca_models=models))
+    branches = [fit_branch(name, modalities, mode, splits, study, config)
+                for name, modalities, mode in _branch_specs(plan)]
 
     y_val = np.asarray([s.label for s in splits["validation"]], dtype=np.int64)
     stats, weights = fit_late_fusion([b.scores["train"] for b in branches],
                                      [b.scores["validation"] for b in branches],
-                                     y_val, plan.late_weights)
+                                     y_val)
     for b, stat, weight in zip(branches, stats, weights):
         b.late_stats, b.late_weight = stat, weight
     fused = {
-        tag: late_fuse([b.scores[tag] for b in branches], weights=weights,
-                       stats=stats)
-        if len(splits[tag]) else np.zeros(0)
+        tag: late_fuse([b.scores[tag] for b in branches], weights, stats)
         for tag in splits
     }
     return RunResult(

@@ -144,20 +144,11 @@ def build_graph(features: np.ndarray, target_degree: int = DEFAULT_TARGET_DEGREE
     # below 0, so orthogonal/dissimilar pairs cannot be forced into edges
     pair_sims = all_pairs[all_pairs > 0.0]
     # keep the k highest-similarity pairs whose mean degree 2k/V is closest
-    # to the target; theta_e sits strictly between kept and dropped values
-    best_k, best_gap = 0, abs(target_degree)
-    k = 0
-    while k <= len(pair_sims):
-        gap = abs(2.0 * k / v - target_degree)
-        if gap < best_gap:
-            best_k, best_gap = k, gap
-        # jump over ties so the strict threshold is realizable
-        if k == len(pair_sims):
-            break
-        value = pair_sims[k]
-        k += 1
-        while k < len(pair_sims) and pair_sims[k] == value:
-            k += 1
+    # to the target (the smallest such k); theta_e sits strictly between
+    # kept and dropped values, so k only ends a group of tied similarities
+    ks = np.r_[0, np.flatnonzero(pair_sims[1:] != pair_sims[:-1]) + 1,
+               len(pair_sims)]
+    best_k = int(ks[np.argmin(np.abs(2.0 * ks / v - target_degree))])
     if best_k == 0:
         threshold = float(pair_sims[0]) if len(pair_sims) else 0.0
         warnings.warn("cosine threshold selection produced an empty edge set")

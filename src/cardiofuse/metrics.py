@@ -162,16 +162,14 @@ class EvalReport:
         return json.dumps(d, sort_keys=True, indent=2)
 
 
-def evaluate(scores, labels, squash: tuple[float, float] | None = None,
-             thresholds=None) -> EvalReport:
-    """Full report from decision scores; prediction is score > 0."""
+def evaluate(scores, labels, squash: tuple[float, float]) -> EvalReport:
+    """Full report from decision scores; prediction is score > 0.  The
+    decision curve's ``squash`` must be fitted on held-out scores."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     preds = (scores > 0).astype(np.int64)
     conf = confusion(preds, labels)
-    if squash is None:
-        squash = fit_score_squash(scores, labels)
-    curve = dca(squash_scores(scores, squash), labels, thresholds)
+    curve = dca(squash_scores(scores, squash), labels)
     return EvalReport(
         auroc=auroc(scores, labels),
         accuracy=accuracy(preds, labels),

@@ -17,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gat, metrics, mpca, svg
+from . import gat, metrics, svg
 from .data import (StudyTable, carve_validation, chronological_split,
                    clean_tabular, load_study)
 from .filtering import FilterReport, filter_training_samples
-from .fusion import EHR, FusionPlan, PipelineConfig, RunResult, run_plan
+from .fusion import (EHR, FusionPlan, PipelineConfig, RunResult, fit_branch,
+                     run_plan)
 from .registration import MODALITIES, build_template, register_stack
-from .svm import decision_scores, train_linear
 from .synthetic import SyntheticSpec, generate_synthetic
 
 DEFAULT_CONFIG: dict = {
@@ -60,7 +60,6 @@ DEFAULT_CONFIG: dict = {
     "fusion": {
         "strategy": "hybrid_intermediate",
         "modalities": ["short_axis", "four_chamber", "ehr"],
-        "late_weights": None,
     },
     "stages": {
         "generate": False,
@@ -154,6 +153,23 @@ def stage_load(cfg: dict) -> StudyTable:
     return study
 
 
+def _load_record(study: StudyTable) -> dict:
+    """What reading the study excluded, dropped and imputed, and the size
+    and share of label 1 of each split."""
+    splits = {}
+    for tag in ("train", "validation", "test"):
+        labels = study.labels(study.by_split(tag))
+        splits[tag] = {"subjects": len(labels),
+                       "label_1_share": (float(np.mean(labels == 1))
+                                         if len(labels) else None)}
+    return {
+        "exclusions": [{"subject_id": sid, "reason": reason}
+                       for sid, reason in study.exclusions],
+        "cleaning": dataclasses.asdict(study.cleaning),
+        "splits": splits,
+    }
+
+
 def stage_preprocess(study: StudyTable) -> dict[str, np.ndarray]:
     """Register every subject's stacks to per-modality mean-landmark templates."""
     templates = {}
@@ -173,30 +189,21 @@ def stage_preprocess(study: StudyTable) -> dict[str, np.ndarray]:
 
 
 def make_filter_eval(study: StudyTable, cfg: dict):
-    """Validation-AUROC callback: quick unimodal MPCA + linear classifier."""
+    """Validation-AUROC callback: one quick unimodal ``fit_branch``."""
     fcfg = cfg["filtering"]
     modality = fcfg["eval_modality"]
     val = study.by_split("validation")
     y_val = np.asarray([s.label for s in val], dtype=np.int64)
-    val_tensors = [s.tensors[modality] for s in val]
     by_id = {s.id: s for s in study.subjects}
+    config = dataclasses.replace(pipeline_config(cfg), fixed_c=fcfg["eval_c"],
+                                 svm_epochs=fcfg["eval_epochs"])
 
     def eval_fn(candidate_ids):
-        subjects = [by_id[sid] for sid in candidate_ids]
-        tensors = [s.tensors[modality] for s in subjects]
-        y = np.asarray([s.label for s in subjects], dtype=np.int64)
-        model = mpca.fit(tensors,
-                         variance_fraction=cfg["mpca"]["variance_fraction"],
-                         max_iters=cfg["mpca"]["iters"])
-        x = mpca.transform_flat(model, tensors)
-        order, _ = mpca.fisher_rank(x, y)
-        kappa = min(cfg["mpca"]["kappa"], x.shape[1])
-        clf = train_linear(mpca.select_top(x, order, kappa), y,
-                           C=fcfg["eval_c"], epochs=fcfg["eval_epochs"],
-                           seed=cfg["seed"])
-        x_val = mpca.select_top(mpca.transform_flat(model, val_tensors),
-                                order, kappa)
-        return metrics.auroc(decision_scores(clf, x_val), y_val)
+        splits = {"train": [by_id[sid] for sid in candidate_ids],
+                  "validation": val, "test": []}
+        branch = fit_branch(modality, [modality], "early", splits, study,
+                            config)
+        return metrics.auroc(branch.scores["validation"], y_val)
 
     return eval_fn
 
@@ -246,7 +253,6 @@ def stage_train(study: StudyTable, cfg: dict,
     plan = FusionPlan(
         strategy=cfg["fusion"]["strategy"],
         modalities=list(cfg["fusion"]["modalities"]),
-        late_weights=cfg["fusion"]["late_weights"],
     )
     return run_plan(plan, study, pipeline_config(cfg, ehr_features))
 
@@ -376,6 +382,8 @@ def _run_stages(cfg: dict, out: Path, log: _StageLog) -> None:
     if needs_study:
         log.begin("load")
         study = stage_load(cfg)
+        log.manifest["load"] = _load_record(study)
+        log.record()
 
     if stages["preprocess"]:
         log.begin("preprocess")

@@ -98,6 +98,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="'synthetic' must be"):
             pipeline.load_config(overrides={"synthetic": 3})
 
+    def test_removed_late_weights_key_rejected(self):
+        # late fusion always fits its weights on validation scores
+        with pytest.raises(ValueError, match="'fusion.late_weights'"):
+            pipeline.load_config(
+                overrides={"fusion": {"late_weights": [1.0, 1.0]}})
+
     def test_synthetic_keys_are_spec_fields(self):
         cfg = pipeline.load_config(overrides={
             "synthetic": {"n_subjects": 50, "informative_fraction": {"ehr": 1}}})
@@ -169,10 +175,40 @@ class TestRunCommand:
                          "--stage", "generate=on"]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         peaks = [s["max_rss_mb"] for s in manifest["stages"]]
-        assert len(peaks) == 7  # generate and the six pipeline stages
+        assert len(peaks) == 8  # generate, load and the six pipeline stages
         assert peaks[0] > 0
         # a running maximum: never falls from one stage to the next
         assert peaks == sorted(peaks)
+
+    def test_manifest_records_load(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["generate", "--config", str(cfg_path)]) == 0
+        tensor = sorted((tmp_path / "data" / "tensors").glob("*.hft"))[0]
+        tensor.unlink()
+        sid = tensor.name.split("_")[0]
+        off = [f"--stage={name}=off" for name in
+               ("filtering", "select_features", "train", "evaluate", "dca")]
+        assert cli.main(["run", "--config", str(cfg_path)] + off) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        load_entry, preprocess = manifest["stages"]
+        assert (load_entry["name"], preprocess["name"]) == ("load",
+                                                            "preprocess")
+        assert load_entry["wall_clock_s"] >= 0.0
+        assert 0.0 < load_entry["max_rss_mb"] <= preprocess["max_rss_mb"]
+        load = manifest["load"]
+        assert load["exclusions"] == [
+            {"subject_id": sid, "reason": f"missing tensor {tensor.name}"}]
+        # the synthetic study pushes a column over the missing-cell limit
+        dropped = load["cleaning"]["dropped_columns"]
+        imputed = load["cleaning"]["imputed_counts"]
+        assert dropped and imputed and not set(dropped) & set(imputed)
+        assert all(n > 0 for n in imputed.values())
+        splits = load["splits"]
+        assert sum(s["subjects"] for s in splits.values()) == (
+            SMALL_SYNTHETIC["n_subjects"] - 1)
+        assert splits["test"]["subjects"] == round(0.3 * 59)
+        for s in splits.values():
+            assert 0.0 < s["label_1_share"] < 1.0
 
     def test_failed_stage_writes_manifest_naming_stage_and_subject(
             self, tmp_path, capsys):
@@ -189,12 +225,13 @@ class TestRunCommand:
             bad.append(",".join(cells))
         landmarks.write_text("\n".join([header, *bad]) + "\n")
         assert cli.main(["run", "--config", str(cfg_path)]) == 1
-        assert "run failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"run failed in preprocess: subject {sid}")
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["failed_stage"] == "preprocess"
         assert manifest["error"] == (f"DegenerateLandmarksError: subject {sid}"
                                      f" {modality} landmarks are collinear")
-        assert manifest["stages"] == []
+        assert [s["name"] for s in manifest["stages"]] == ["load"]
 
     def test_run_manifest_records_cv_curve_and_mpca(self, tmp_path):
         cfg_path = write_config(tmp_path, svm={"fixed_c": None, "epochs": 5,
@@ -328,7 +365,7 @@ class TestStageSubcommands:
             assert not (out / name).exists(), name
         manifest = json.loads((out / "manifest.json").read_text())
         assert [s["name"] for s in manifest["stages"]] == [
-            "preprocess", "filtering", "select_features", "train"]
+            "load", "preprocess", "filtering", "select_features", "train"]
 
 
 class TestCompare:

@@ -53,19 +53,26 @@ class TestConcat:
             early_concat(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
 
 
+def own_stats(score_vectors):
+    """Each vector's own (mean, std): late_fuse then weighs standardized
+    scores."""
+    return [(float(np.mean(s)), float(np.std(s))) for s in score_vectors]
+
+
 class TestLateFuse:
     def test_single_branch_preserves_ranking(self):
         rng = np.random.default_rng(3)
         scores = rng.normal(size=30)
         labels = rng.integers(0, 2, 30)
         labels[0], labels[1] = 0, 1
-        fused = late_fuse([scores], weights=[1.0])
+        fused = late_fuse([scores], [1.0], own_stats([scores]))
         assert auroc(fused, labels) == auroc(scores, labels)
 
     def test_identical_branches_preserve_ranking(self):
         rng = np.random.default_rng(4)
         scores = rng.normal(size=25)
-        fused = late_fuse([scores, scores.copy()])
+        branches = [scores, scores.copy()]
+        fused = late_fuse(branches, [1.0, 1.0], own_stats(branches))
         np.testing.assert_array_equal(np.argsort(fused), np.argsort(scores))
 
     def test_weight_one_zero_reproduces_branch0(self):
@@ -74,7 +81,7 @@ class TestLateFuse:
         s1 = rng.normal(size=40)
         labels = rng.integers(0, 2, 40)
         labels[0], labels[1] = 0, 1
-        fused = late_fuse([s0, s1], weights=[1.0, 0.0])
+        fused = late_fuse([s0, s1], [1.0, 0.0], own_stats([s0, s1]))
         assert abs(auroc(fused, labels) - auroc(s0, labels)) < 1e-12
 
     def test_complementary_errors_beat_both_branches(self):
@@ -94,7 +101,7 @@ class TestLateFuse:
 
         a0, a1 = pair_count(s0), pair_count(s1)
         assert 0.65 < a0 < 0.85 and 0.65 < a1 < 0.85
-        fused = late_fuse([s0, s1])
+        fused = late_fuse([s0, s1], [1.0, 1.0], own_stats([s0, s1]))
         af = pair_count(fused)
         assert af > max(a0, a1)
         assert af == pytest.approx(auroc(fused, labels), abs=1e-12)
@@ -104,16 +111,13 @@ class TestLateFuse:
         labels = rng.integers(0, 2, 100)
         good = labels + rng.normal(0, 0.3, 100)          # strong, small scale
         weak = 1000.0 * rng.normal(size=100)             # noise, huge scale
-        fused = late_fuse([good, weak])
+        fused = late_fuse([good, weak], [1.0, 1.0], own_stats([good, weak]))
         assert auroc(fused, labels) > 0.8
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
-            late_fuse([np.zeros(3), np.zeros(4)])
-        with pytest.raises(ValueError):
-            late_fuse([np.zeros(3)], weights=[0.0])
-        with pytest.raises(ValueError):
-            late_fuse([np.zeros(3), np.zeros(3)], weights=[-1.0, 2.0])
+            late_fuse([np.zeros(3), np.zeros(4)], [1.0, 1.0],
+                      [(0.0, 1.0), (0.0, 1.0)])
 
 
 class TestFitLateFusion:
@@ -135,7 +139,7 @@ class TestFitLateFusion:
                                          [self.val, val1], self.y_val)
         assert weights[0] == pytest.approx(weights[1], rel=1e-12)
         contributions = [
-            late_fuse([v], stats=[stat]) * w
+            late_fuse([v], [1.0], [stat]) * w
             for v, stat, w in zip((self.val, val1), stats, weights)
         ]
         assert np.std(contributions[0]) == pytest.approx(
@@ -157,11 +161,6 @@ class TestFitLateFusion:
         assert weights == [1.0]
         assert stats[0] == (pytest.approx(np.mean(self.train)),
                             pytest.approx(np.std(self.val)))
-
-    def test_given_weights_are_kept(self):
-        _, weights = fit_late_fusion([self.train] * 2, [self.val] * 2,
-                                     self.y_val, weights=[3.0, 1.0])
-        assert weights == [0.75, 0.25]
 
     def test_needs_both_validation_classes(self):
         with pytest.raises(ValueError):
@@ -322,3 +321,53 @@ class TestRunPlan:
         result = run_plan(FusionPlan("late", [SA, EHR]), study, FAST)
         # the scores exist for the test split even though labels were sealed
         assert len(result.fused_scores["test"]) == len(original)
+
+
+def filter_eval_oracle(study, cfg):
+    """``pipeline.make_filter_eval`` as it was before it became a
+    ``fit_branch`` call: its own MPCA -> Fisher -> SVM copy."""
+    from cardiofuse.svm import decision_scores, train_linear
+
+    fcfg = cfg["filtering"]
+    modality = fcfg["eval_modality"]
+    val = study.by_split("validation")
+    y_val = np.asarray([s.label for s in val], dtype=np.int64)
+    val_tensors = [s.tensors[modality] for s in val]
+    by_id = {s.id: s for s in study.subjects}
+
+    def eval_fn(candidate_ids):
+        subjects = [by_id[sid] for sid in candidate_ids]
+        tensors = [s.tensors[modality] for s in subjects]
+        y = np.asarray([s.label for s in subjects], dtype=np.int64)
+        model = mpca.fit(tensors,
+                         variance_fraction=cfg["mpca"]["variance_fraction"],
+                         max_iters=cfg["mpca"]["iters"])
+        x = mpca.transform_flat(model, tensors)
+        order, _ = mpca.fisher_rank(x, y)
+        kappa = min(cfg["mpca"]["kappa"], x.shape[1])
+        clf = train_linear(mpca.select_top(x, order, kappa), y,
+                           C=fcfg["eval_c"], epochs=fcfg["eval_epochs"],
+                           seed=cfg["seed"])
+        x_val = mpca.select_top(mpca.transform_flat(model, val_tensors),
+                                order, kappa)
+        return auroc(decision_scores(clf, x_val), y_val)
+
+    return eval_fn
+
+
+@pytest.mark.parametrize("modality,seed", [(FC, 0), (SA, 3)])
+def test_filter_eval_is_the_unimodal_branch_bit_for_bit(small_study, modality,
+                                                        seed):
+    cfg = pipeline.load_config(overrides={
+        "seed": seed, "mpca": {"kappa": 30},
+        "filtering": {"eval_modality": modality, "eval_epochs": 20}})
+    ours = pipeline.make_filter_eval(small_study, cfg)
+    oracle = filter_eval_oracle(small_study, cfg)
+    train_ids = [s.id for s in small_study.by_split("train")]
+    rng = np.random.default_rng(seed)
+    subsets = [train_ids, train_ids[5:], train_ids[:-7]]
+    subsets += [sorted(rng.choice(train_ids, size=25, replace=False).tolist())
+                for _ in range(2)]
+    for ids in subsets:
+        assert ours(ids) == oracle(ids)
+

@@ -4,6 +4,8 @@ attention, finite-difference gradient checks, permutation equivariance,
 and ablation ranking.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,53 @@ class TestBuildGraph:
     def test_target_degree_too_large(self):
         with pytest.raises(ValueError):
             gat.build_graph(np.ones((3, 2)), 3)
+
+    def test_threshold_matches_tie_skipping_loop(self):
+        """The threshold search over tie-group ends gives the same bits as
+        the scalar loop it replaced, on tie-heavy graphs, targets of 0 and
+        graphs without a positive similarity."""
+        def loop_threshold(pair_sims, v, target_degree):
+            best_k, best_gap = 0, abs(target_degree)
+            k = 0
+            while k <= len(pair_sims):
+                gap = abs(2.0 * k / v - target_degree)
+                if gap < best_gap:
+                    best_k, best_gap = k, gap
+                # jump over ties so the strict threshold is realizable
+                if k == len(pair_sims):
+                    break
+                value = pair_sims[k]
+                k += 1
+                while k < len(pair_sims) and pair_sims[k] == value:
+                    k += 1
+            if best_k == 0:
+                return float(pair_sims[0]) if len(pair_sims) else 0.0
+            if best_k == len(pair_sims):
+                return 0.0
+            return float((pair_sims[best_k - 1] + pair_sims[best_k]) / 2.0)
+
+        rng = np.random.default_rng(11)
+        cases = [(np.array([[1.0, 0.0], [-1.0, 0.0]]), 0),
+                 (np.array([[1.0, 0.0], [-1.0, 0.0]]), 1)]
+        for _ in range(200):
+            v = int(rng.integers(2, 25))
+            # few distinct small-integer rows: many tied similarities
+            x = rng.integers(-1, 2, size=(v, int(rng.integers(1, 4))))
+            x[~x.any(axis=1), 0] = 1
+            cases.append((x.astype(np.float64), int(rng.integers(0, v))))
+        for x, target in cases:
+            v = len(x)
+            # build_graph's expression: two quotients, so numpy multiplies
+            # them by gemm, not by the symmetric a @ a.T kernel
+            norms = np.linalg.norm(x, axis=1)
+            sims = np.clip((x / norms[:, None]) @ (x / norms[:, None]).T,
+                           -1.0, 1.0)
+            all_pairs = np.sort(sims[np.triu_indices(v, k=1)])[::-1]
+            expected = loop_threshold(all_pairs[all_pairs > 0.0], v, target)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                g = gat.build_graph(x, target, standardize=False)
+            assert g.threshold == expected
 
 
 class TestForward:

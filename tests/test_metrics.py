@@ -228,7 +228,12 @@ class TestEvalReport:
         rng = np.random.default_rng(7)
         scores = rng.normal(size=50)
         labels = (scores + rng.normal(0, 1.0, 50) > 0).astype(int)
-        return metrics.evaluate(scores, labels)
+        # the squash is fitted on separate held-out scores, as the
+        # pipeline fits it on the validation split
+        held_out = rng.normal(size=40)
+        held_out_labels = (held_out + rng.normal(0, 1.0, 40) > 0).astype(int)
+        squash = metrics.fit_score_squash(held_out, held_out_labels)
+        return metrics.evaluate(scores, labels, squash)
 
     def test_fields_consistent(self):
         rep = self._report()
