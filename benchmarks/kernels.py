@@ -6,7 +6,9 @@ Usage, from the repository root:
     python3 benchmarks/kernels.py --baseline-src ../other/src --out BENCH.json
 
 Times ``svm.train_linear`` (200 x 210, C = 0.1, 15 epochs, as in a CV fit
-of the benchmark's ``default`` workload), ``mpca.fit`` (280 stacks of
+of the benchmark's ``default`` workload), ``svm.grid_search_cv`` (4 C x 10
+folds at 15 epochs, as in that workload, on each of the two CV matrices of
+a default ``cardiofuse run`` at seed 0), ``mpca.fit`` (280 stacks of
 32 x 32 x 8, one refinement pass) and ``tensor3.mode_n_product`` (a
 32 x 32 x 8 stack by a 30 x 32, 30 x 32 and 8 x 8 matrix along modes 1, 2
 and 3), ``registration.warp_stack`` (a 32 x 32 x 8 and a 48 x 48 x 8 stack
@@ -22,6 +24,12 @@ in each tree, alternating which tree goes first, so drift in the
 machine's speed reaches both alike.  The minimum over ``--repeats``
 rounds is reported, with every sample, and whether the baseline's output
 equals this tree's byte for byte (null for the import, which has no output).
+The two CV matrices are made once, by this tree, from a generated default
+study at seed 0 (400 subjects, 32 x 32 x 8): loaded, registered and
+uncertainty-filtered as ``cardiofuse run`` does, then the train split's
+features of the intermediate imaging branch (199 x 210) and of the EHR
+branch (199 x 15) on the columns that run's GAT selects at one BLAS
+thread, fixed here so the GAT need not run.
 Beside ``speedup``, the ratio of the two minima, ``paired_speedup`` is the
 median over rounds of baseline / current within a round, with its
 quartiles: a round times both trees back to back, so drift in the
@@ -63,6 +71,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -82,10 +91,38 @@ def load_tree(src: Path, alias: str) -> dict:
     sys.modules[alias] = module
     spec.loader.exec_module(module)
     return {name: importlib.import_module(f"{alias}.{name}")
-            for name in ("svm", "mpca", "tensor3", "registration")}
+            for name in ("svm", "mpca", "tensor3", "registration", "fusion",
+                         "pipeline")}
 
 
-def inputs() -> dict:
+# the EHR columns the GAT of a default run at seed 0 selects, in rank order
+CV_EHR_COLUMNS = ["informative_3", "informative_0", "noise_26", "informative_1",
+                  "noise_18", "noise_14", "noise_11", "noise_37",
+                  "informative_2", "noise_41", "noise_6", "noise_42",
+                  "noise_34", "noise_3", "noise_36"]
+
+
+def cv_matrices(mods: dict) -> dict:
+    """Branch name -> (train features, labels) of a default run at seed 0."""
+    pipeline, fusion = mods["pipeline"], mods["fusion"]
+    cfg = pipeline.load_config()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["data_dir"] = tmp
+        pipeline.stage_generate(cfg, tmp)
+        study = pipeline.stage_load(cfg)
+    pipeline.stage_preprocess(study)
+    pipeline.stage_filtering(study, cfg)
+    config = pipeline.pipeline_config(cfg, CV_EHR_COLUMNS)
+    splits = fusion._splits(study)
+    labels = study.labels(splits["train"])
+    imaging, _, _ = fusion._imaging_features(
+        splits, ["short_axis", "four_chamber"], "intermediate", config)
+    ehr = fusion._ehr_features(splits, study, config)
+    return {"imaging": (imaging["train"], labels),
+            "ehr": (ehr["train"], labels)}
+
+
+def inputs(mods: dict) -> dict:
     rng = np.random.default_rng(0)
     x = rng.normal(size=(200, 210))
     y = (x[:, :5].sum(axis=1) + rng.normal(scale=2.0, size=200) > 0)
@@ -106,7 +143,7 @@ def inputs() -> dict:
             "warp_affine": (warp_matrix, np.array([0.7, -1.2])),
             "latents": rng.normal(size=(224, 33_856)),
             "latent_labels": rng.integers(0, 2, 224),
-            "hires_stacks": hires}
+            "hires_stacks": hires, "cv": cv_matrices(mods)}
 
 
 SVM_C = 0.1  # the C of the svm.train_linear kernel
@@ -140,9 +177,15 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
                            target_dims=(46, 46, 8))
 
     def train():
-        clf = svm.train_linear(data["x"], data["y"], C=SVM_C, epochs=15,
-                               seed=0)
+        clf = svm.train_linear(data["x"], data["y"], C=SVM_C, epochs=15)
         return [clf.weights, np.array([clf.bias])]
+
+    def cross_validate():
+        out = []
+        for x, y in data["cv"].values():
+            cv = svm.grid_search_cv(x, y, epochs=15)
+            out += [np.array(cv.mean_aurocs), np.array([cv.chosen_c])]
+        return out
 
     def fit():
         # the scatter trace is summed in another order now (equal to 1e-12
@@ -175,6 +218,8 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
 
     return {
         "svm.train_linear": ("200x210, C=0.1, 15 epochs", train, 1),
+        "svm.grid_search_cv": ("default run's 199x210 and 199x15, 4 C x 10"
+                               " folds, 15 epochs", cross_validate, 1),
         "mpca.fit": ("280 x 32x32x8, max_iters=1", fit, 1),
         "tensor3.mode_n_product": ("32x32x8 by 30x32 / 30x32 / 8x8, per call",
                                    products, PRODUCT_CALLS),
@@ -249,12 +294,13 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True, help="JSON result")
     args = p.parse_args(argv)
 
-    data = inputs()
     trees = {"current": ROOT / "src"}
     if args.baseline_src is not None:
         trees["baseline"] = args.baseline_src.resolve()
-    suites = {tag: kernels(src, load_tree(src, f"cardiofuse_{tag}"), data)
-              for tag, src in trees.items()}
+    mods = {tag: load_tree(src, f"cardiofuse_{tag}")
+            for tag, src in trees.items()}
+    data = inputs(mods["current"])
+    suites = {tag: kernels(src, mods[tag], data) for tag, src in trees.items()}
 
     samples = {name: {tag: [] for tag in trees} for name in suites["current"]}
     outputs = {name: {} for name in samples}

@@ -108,7 +108,10 @@ class StudyTable:
         return np.asarray([s.label for s in subjects], dtype=np.int64)
 
 
-def _read_csv(path: Path, required_first: str) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path: Path, required_first: str,
+              columns: int) -> tuple[list[str], list[list[str]]]:
+    """Header and non-empty rows; the header needs at least ``columns``
+    columns and every row one cell per header column."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
@@ -120,6 +123,12 @@ def _read_csv(path: Path, required_first: str) -> tuple[list[str], list[list[str
         raise StudyFormatError(
             f"{path}: first header column must be '{required_first}'"
         )
+    if len(header) < columns:
+        raise StudyFormatError(f"{path}: header needs {columns} columns")
+    for row in rows:
+        if len(row) != len(header):
+            raise StudyFormatError(f"{path}: subject {row[0]!r}: row has"
+                                   f" {len(row)} cells, header {len(header)}")
     return header, rows
 
 
@@ -144,7 +153,7 @@ def load_study(directory) -> StudyTable:
         warnings.warn(f"{directory}: no study files found, returning empty table")
         return StudyTable(subjects=[])
 
-    header, rows = _read_csv(ehr_path, "subject_id")
+    header, rows = _read_csv(ehr_path, "subject_id", 1)
     feature_names = header[1:]
     tabular: dict[str, np.ndarray] = {}
     for row in rows:
@@ -155,19 +164,22 @@ def load_study(directory) -> StudyTable:
                   for cell in row[1:]]
         tabular[sid] = np.asarray(values, dtype=np.float64)
 
-    _, label_rows = _read_csv(labels_path, "subject_id")
+    _, label_rows = _read_csv(labels_path, "subject_id", 2)
     labels: dict[str, tuple[int, float]] = {}
     for row in label_rows:
         sid = row[0]
         if sid in labels:
             raise StudyFormatError(f"{labels_path}: duplicate subject row {sid!r}")
-        label = int(_numeric(labels_path, row[1], "label"))
+        label = _numeric(labels_path, row[1], "label")
+        if label not in (0.0, 1.0):
+            raise StudyFormatError(f"{labels_path}: subject {sid!r}: label"
+                                   f" {row[1]!r} is not 0 or 1")
         order_key = _numeric(labels_path, row[2], "screen_time") if len(row) > 2 else 0.0
-        labels[sid] = (label, order_key)
+        labels[sid] = (int(label), order_key)
 
     landmark_rows: dict[str, dict[str, list]] = {}
     if landmarks_path.exists():
-        _, lm_rows = _read_csv(landmarks_path, "subject_id")
+        _, lm_rows = _read_csv(landmarks_path, "subject_id", 6)
         for row in lm_rows:
             sid, modality = row[0], row[1]
             entry = landmark_rows.setdefault(sid, {}).setdefault(modality, [])

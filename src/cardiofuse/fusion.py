@@ -22,7 +22,7 @@ import numpy as np
 
 from . import mpca
 from .data import StudyTable, Subject
-from .svm import (DEFAULT_C_GRID, CvGridResult, LinearClassifier,
+from .svm import (DEFAULT_C_GRID, KKT_TOL, CvGridResult, LinearClassifier,
                   decision_scores, grid_search_cv, train_linear)
 
 STRATEGIES = ("early", "intermediate", "late", "hybrid_early",
@@ -81,6 +81,9 @@ class BranchResult:
             "cv_mean_aurocs": None if self.cv is None else self.cv.mean_aurocs,
             "late_centre": self.late_stats[0], "late_scale": self.late_stats[1],
             "late_weight": self.late_weight,
+            "svm_steps": self.classifier.steps,
+            "svm_kkt_gap": self.classifier.kkt_gap,
+            "svm_step_cap_bound": self.classifier.kkt_gap >= KKT_TOL,
             "mpca": None if self.mpca_models is None else [
                 {"target_dims": list(m.target_dims),
                  "scatter_trace": list(m.scatter_trace)}
@@ -309,8 +312,7 @@ def fit_branch(name: str, modalities: list[str], mode: str,
                             folds=config.cv_folds, seed=config.seed,
                             epochs=config.svm_epochs)
         chosen_c = cv.chosen_c
-    clf = train_linear(x_train, y_train, C=chosen_c,
-                       epochs=config.svm_epochs, seed=config.seed)
+    clf = train_linear(x_train, y_train, C=chosen_c, epochs=config.svm_epochs)
     scores = {tag: decision_scores(clf, x[tag]) for tag in splits}
     return BranchResult(name=name, chosen_c=float(chosen_c), kappa=kappa,
                         scores=scores, classifier=clf, cv=cv,

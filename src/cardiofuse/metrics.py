@@ -83,7 +83,9 @@ def fit_score_squash(scores, labels) -> tuple[float, float]:
     risks in [0, 1] for decision-curve analysis.  The pipeline fits it on
     held-out validation scores: in-sample scores of an overfit classifier
     are near-separable and give near-0/1 risks.  Returns (a, b); ``a`` is
-    constrained to be non-positive so higher score means higher risk.
+    constrained to be non-positive so higher score means higher risk: when
+    the fit gives a > 0 it returns a = 0 and b = log(n0/n1), the constant
+    risk at the share of label 1.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -99,7 +101,7 @@ def fit_score_squash(scores, labels) -> tuple[float, float]:
                    options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000})
     a, b = res.x
     if a > 0:
-        a = 0.0
+        a, b = 0.0, np.log(np.sum(y == 0) / np.sum(y == 1))
     return float(a), float(b)
 
 

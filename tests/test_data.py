@@ -150,6 +150,33 @@ class TestLoadStudy:
         with pytest.raises(StudyFormatError):
             load_study(tmp_path)
 
+    @pytest.mark.parametrize("name, row", [
+        ("labels.csv", ["p1"]),
+        ("landmarks.csv", ["p1", "short_axis", 0, 5.0]),
+        ("ehr.csv", ["p1", 41]),
+        ("labels.csv", ["p1", 2, 1.0]),
+    ], ids=["short-label-row", "short-landmark-row", "short-ehr-row",
+            "label-not-binary"])
+    def test_malformed_row_names_file_and_subject(self, tmp_path, name, row):
+        write_fixture_study(tmp_path)
+        path = tmp_path / name
+        with open(path, newline="") as f:
+            rows = [r for r in csv.reader(f) if r[0] != "p1"]
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows + [row])
+        with pytest.raises(StudyFormatError, match=f"{name}: subject 'p1'"):
+            load_study(tmp_path)
+
+    def test_narrow_landmark_header_rejected(self, tmp_path):
+        write_fixture_study(tmp_path)
+        path = tmp_path / "landmarks.csv"
+        with open(path, newline="") as f:
+            rows = [r[:4] for r in csv.reader(f)]
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        with pytest.raises(StudyFormatError, match="header needs 6 columns"):
+            load_study(tmp_path)
+
     def test_malformed_header_rejected(self, tmp_path):
         write_fixture_study(tmp_path)
         text = (tmp_path / "ehr.csv").read_text()

@@ -2,10 +2,12 @@
 plan validation, and run_plan behavior on a small synthetic study.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cardiofuse import fusion, mpca, pipeline, synthetic
+from cardiofuse import fusion, mpca, pipeline, svm, synthetic
 from cardiofuse.data import (StudyTable, carve_validation,
                              chronological_split, clean_tabular, load_study)
 from cardiofuse.fusion import (FusionPlan, PipelineConfig, early_concat,
@@ -287,6 +289,16 @@ class TestRunPlan:
         assert entry["chosen_c"] == FAST.fixed_c
         assert len(entry["mpca"]) == 1
 
+    def test_manifest_says_whether_the_step_cap_bound(self, small_study):
+        plan = FusionPlan("early", [SA])
+        for epochs, bound in ((40, False), (0, True)):
+            config = dataclasses.replace(FAST, svm_epochs=epochs)
+            (entry,) = run_plan(plan, small_study, config).manifest()["branches"]
+            assert entry["svm_step_cap_bound"] is bound
+            assert (entry["svm_kkt_gap"] >= svm.KKT_TOL) is bound
+            assert 0 <= entry["svm_steps"] <= 40 * len(
+                small_study.by_split("train"))
+
     def test_deterministic(self, small_study):
         plan = FusionPlan("hybrid_early", [SA, FC, EHR])
         r1 = run_plan(plan, small_study, FAST)
@@ -346,8 +358,7 @@ def filter_eval_oracle(study, cfg):
         order, _ = mpca.fisher_rank(x, y)
         kappa = min(cfg["mpca"]["kappa"], x.shape[1])
         clf = train_linear(mpca.select_top(x, order, kappa), y,
-                           C=fcfg["eval_c"], epochs=fcfg["eval_epochs"],
-                           seed=cfg["seed"])
+                           C=fcfg["eval_c"], epochs=fcfg["eval_epochs"])
         x_val = mpca.select_top(mpca.transform_flat(model, val_tensors),
                                 order, kappa)
         return auroc(decision_scores(clf, x_val), y_val)

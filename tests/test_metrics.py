@@ -222,6 +222,18 @@ class TestSquash:
         risks = metrics.squash_scores(scores, squash)
         assert metrics.auroc(risks, labels) == metrics.auroc(scores, labels)
 
+    def test_inverted_scores_give_the_constant_risk(self):
+        # label 1 scores low, so the free fit has a > 0; with a = 0 the
+        # likelihood is maximal at the share of label 1 (10 of 40)
+        rng = np.random.default_rng(8)
+        labels = np.array([0] * 30 + [1] * 10)
+        scores = -2.0 * labels + rng.normal(0, 0.5, 40)
+        a, b = metrics.fit_score_squash(scores, labels)
+        assert a == 0.0
+        assert b == pytest.approx(np.log(30 / 10), rel=1e-12)
+        np.testing.assert_allclose(metrics.squash_scores(scores, (a, b)), 0.25,
+                                   rtol=1e-12)
+
 
 class TestEvalReport:
     def _report(self):

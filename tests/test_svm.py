@@ -5,6 +5,11 @@ Reference oracle for the objective: scipy.optimize.minimize on the
 serves as the "long-run reference optimizer" the solver must approach.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -100,8 +105,8 @@ class TestTrainLinear:
 
     def test_deterministic(self):
         x, y = blobs(12, 2.0, seed=5)
-        c1 = svm.train_linear(x, y, C=0.1, seed=7)
-        c2 = svm.train_linear(x, y, C=0.1, seed=7)
+        c1 = svm.train_linear(x, y, C=0.1)
+        c2 = svm.train_linear(x, y, C=0.1)
         np.testing.assert_array_equal(c1.weights, c2.weights)
         assert c1.bias == c2.bias
 
@@ -113,6 +118,59 @@ class TestTrainLinear:
         s1 = np.sign(svm.decision_scores(c1, x))
         s2 = np.sign(svm.decision_scores(c2, x * scale))
         np.testing.assert_array_equal(s1, s2)
+
+    def test_reports_converged_fit(self):
+        x, y = blobs(20, 1.5, seed=13, d=4)
+        clf = svm.train_linear(x, y, C=1.0)
+        assert 0 < clf.steps < 300 * len(y)
+        assert 0.0 <= clf.kkt_gap < svm.KKT_TOL
+
+    def test_tiny_epochs_report_the_step_cap(self):
+        # overlapping classes at C = 1 need many pair steps; one epoch
+        # allows m of them
+        x, y = blobs(40, 0.5, seed=14, d=3)
+        clf = svm.train_linear(x, y, C=1.0, epochs=1)
+        assert clf.steps == len(y)
+        assert clf.kkt_gap >= svm.KKT_TOL
+
+
+FIT_IN_CHILD = """
+import sys
+import numpy as np
+from cardiofuse import svm
+
+rng = np.random.default_rng(int(sys.argv[1]))
+x = rng.normal(size=(199, int(sys.argv[2])))
+noise = float(sys.argv[3]) * rng.normal(size=199)
+y = (x[:, :3].sum(axis=1) + noise > 0).astype(np.int64)
+clf = svm.train_linear(x, y, C=float(sys.argv[4]))
+print(clf.weights.tobytes().hex(), np.float64(clf.bias).tobytes().hex())
+"""
+
+
+class TestBlasThreadCount:
+    """The fit does not depend on how many threads BLAS uses: the Gram
+    matrix is built one matrix-vector product per row."""
+
+    @staticmethod
+    def fit_in_child(threads: int, *args) -> str:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", FIT_IN_CHILD, *map(str, args)], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    # (seed, columns, label noise, C): 199 x 210 is separable, as the
+    # imaging branch's CV fits are; 199 x 15 overlaps, as the EHR branch's do
+    @pytest.mark.parametrize("problem", [(0, 210, 0.0, 0.1),
+                                         (1, 15, 1.5, 1.0)])
+    def test_weights_and_bias_equal_at_one_and_two_threads(self, problem):
+        assert self.fit_in_child(1, *problem) == self.fit_in_child(2, *problem)
 
 
 class TestDecisionScore:
@@ -188,8 +246,7 @@ class TestCrossValidation:
             scores = []
             for val in folds:
                 train = np.setdiff1d(all_idx, val)
-                clf = svm.train_linear(x[train], y[train], C=C, epochs=100,
-                                       seed=3)
+                clf = svm.train_linear(x[train], y[train], C=C, epochs=100)
                 scores.append(auroc(svm.decision_scores(clf, x[val]), y[val]))
             assert result.mean_aurocs[ci] == pytest.approx(np.mean(scores),
                                                            abs=1e-12)
@@ -201,74 +258,3 @@ class TestCrossValidation:
                                     folds=4, epochs=100)
         if len(set(result.mean_aurocs)) == 1:
             assert result.chosen_c == 0.001
-
-
-def reference_train_linear(features, labels, C=1.0, epochs=300, seed=0):
-    """The Pegasos loop written with array indexing and
-    ``np.linalg.norm``: the bit-exact reference for ``train_linear``."""
-    x_raw = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    mean, std = svm._standardize_fit(x_raw)
-    x = (x_raw - mean) / std
-    y_pm = np.where(y == 1, 1.0, -1.0)
-    m, n_feat = x.shape
-
-    lam = 1.0 / (C * m)
-    radius = 1.0 / np.sqrt(lam)
-    rng = np.random.default_rng(seed)
-    w = np.zeros(n_feat)
-    b = 0.0
-    best = (svm.hinge_objective(w, b, x, y_pm, C), w.copy(), b)
-    phase_lengths = [len(chunk) for chunk in
-                     np.array_split(np.arange(epochs), min(4, epochs))]
-    for phase, length in enumerate(phase_lengths):
-        t = 0
-        for _ in range(length):
-            for i in rng.permutation(m):
-                t += 1
-                eta = 1.0 / (lam * t)
-                margin = y_pm[i] * (x[i] @ w + b)
-                w *= 1.0 - eta * lam
-                if margin < 1.0:
-                    w += eta * y_pm[i] * x[i]
-                    if phase == 0:
-                        b += eta * y_pm[i]
-                norm = np.linalg.norm(w)
-                if norm > radius:
-                    w *= radius / norm
-            b_star = svm._recenter_bias(w, b, x, y_pm, C)
-            obj = svm.hinge_objective(w, b_star, x, y_pm, C)
-            if obj < best[0]:
-                best = (obj, w.copy(), b_star)
-        w, b = best[1].copy(), best[2]
-
-    _, w, b = best
-    return w, float(b)
-
-
-class TestBitExactReference:
-    """``train_linear`` matches the reference loop bit for bit.
-
-    C = 0.1 at 15 epochs is the case a rescaled form ``w = s * v`` fails:
-    ``_recenter_bias`` puts a sample exactly on the margin, and a one-ulp
-    change flips ``margin < 1``.
-    """
-
-    @staticmethod
-    def problem(seed):
-        # overlapping classes, wider than tall in places: many margin
-        # violations and an active norm projection
-        rng = np.random.default_rng(100 + seed)
-        x = rng.normal(size=(80, 40))
-        y = (x[:, :3].sum(axis=1) + rng.normal(scale=1.5, size=80) > 0)
-        return x, y.astype(np.int64)
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("epochs", [1, 15, 100])
-    @pytest.mark.parametrize("C", [0.001, 0.01, 0.1, 1.0])
-    def test_weights_and_bias_equal(self, C, epochs, seed):
-        x, y = self.problem(seed)
-        clf = svm.train_linear(x, y, C=C, epochs=epochs, seed=seed)
-        w, b = reference_train_linear(x, y, C=C, epochs=epochs, seed=seed)
-        assert np.array_equal(clf.weights, w)
-        assert clf.bias == b
