@@ -2,9 +2,9 @@
 
 Train the linear hinge-loss classifier (solved exactly on its dual by
 SMO, with 10-fold grid-search CV over C; ``epochs`` caps the solver at
-epochs x m pair steps), then walk through the evaluation report: AUROC, accuracy, MCC,
-and the decision-curve analysis that expresses clinical utility as net
-benefit across treatment thresholds.
+epochs x m pair steps), then walk through the evaluation report: AUROC,
+accuracy, MCC, and the decision-curve analysis that expresses clinical
+utility as net benefit across treatment thresholds.
 """
 
 import json

@@ -110,8 +110,7 @@ class StudyTable:
 
 def _read_csv(path: Path, required_first: str,
               columns: int) -> tuple[list[str], list[list[str]]]:
-    """Header and non-empty rows; the header needs at least ``columns``
-    columns and every row one cell per header column."""
+    """Header (``columns`` wide at least) and rows, one cell per column."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:

@@ -83,9 +83,8 @@ def fit_score_squash(scores, labels) -> tuple[float, float]:
     risks in [0, 1] for decision-curve analysis.  The pipeline fits it on
     held-out validation scores: in-sample scores of an overfit classifier
     are near-separable and give near-0/1 risks.  Returns (a, b); ``a`` is
-    constrained to be non-positive so higher score means higher risk: when
-    the fit gives a > 0 it returns a = 0 and b = log(n0/n1), the constant
-    risk at the share of label 1.
+    non-positive so higher score means higher risk: a fitted a > 0 becomes
+    a = 0 with b = log(n0/n1), the maximum-likelihood constant risk.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
