@@ -6,9 +6,12 @@ Usage, from the repository root:
     python3 benchmarks/kernels.py --baseline-src ../other/src --out BENCH.json
 
 Times ``svm.train_linear`` (200 x 210, C = 0.1, 15 epochs, as in a CV fit
-of the benchmark's ``default`` workload), ``svm.grid_search_cv`` (4 C x 10
-folds at 15 epochs, as in that workload, on each of the two CV matrices of
-a default ``cardiofuse run`` at seed 0), ``mpca.fit`` (280 stacks of
+of the benchmark's ``default`` workload; and at C = 1.0 and 15 epochs the
+179 x 15 train rows of the third of the ten CV folds of the EHR matrix
+below, where the ``epochs * m`` step cap binds, as it does in most of that
+workload's EHR fits at C = 1.0), ``svm.grid_search_cv``
+(4 C x 10 folds at 15 epochs, as in that workload, on each of the two CV
+matrices of a default ``cardiofuse run`` at seed 0), ``mpca.fit`` (280 stacks of
 32 x 32 x 8, one refinement pass) and ``tensor3.mode_n_product`` (a
 32 x 32 x 8 stack by a 30 x 32, 30 x 32 and 8 x 8 matrix along modes 1, 2
 and 3), ``registration.warp_stack`` (a 32 x 32 x 8 and a 48 x 48 x 8 stack
@@ -36,8 +39,8 @@ quartiles: a round times both trees back to back, so drift in the
 machine's speed cancels in its ratio, and on a kernel both trees share
 the paired median stays within a few percent of 1 where the ratio of
 minima can read 0.80 or 1.12 at 15 rounds.
-For ``svm.train_linear`` the quality of the solution is reported too:
-``<tree>_objective`` is the hinge objective
+For both ``svm.train_linear`` kernels the quality of the solution is
+reported too: ``<tree>_objective`` is the hinge objective
 0.5 |w|^2 + C sum_i max(0, 1 - y_i (w.x_i + b)) of each tree's classifier
 on the same standardized input (computed here, not by the package), and
 ``objective_ratio`` is current / baseline, printed beside ``bit_identical``:
@@ -101,6 +104,10 @@ CV_EHR_COLUMNS = ["informative_3", "informative_0", "noise_26", "informative_1",
                   "informative_2", "noise_41", "noise_6", "noise_42",
                   "noise_34", "noise_3", "noise_36"]
 
+# the CV fold whose EHR train rows the cap-bound train_linear kernel fits:
+# at C = 1.0 it stops at the 15-epoch cap, 2,685 steps, with KKT gap 0.017
+CAPPED_FOLD = 2
+
 
 def cv_matrices(mods: dict) -> dict:
     """Branch name -> (train features, labels) of a default run at seed 0."""
@@ -137,32 +144,42 @@ def inputs(mods: dict) -> dict:
     hires_basis = rng.normal(size=(48, 48, 8))
     hires = [hires_basis * rng.normal() + 0.5 * rng.normal(size=(48, 48, 8))
              for _ in range(224)]
+    cv = cv_matrices(mods)
+    ehr_x, ehr_y = cv["ehr"]
+    val = mods["svm"].stratified_folds(ehr_y, 10, seed=0)[CAPPED_FOLD]
+    train = np.setdiff1d(np.arange(len(ehr_y)), val)
     return {"x": x, "y": y.astype(np.int64), "stacks": stacks,
             "tensor": stacks[0], "mats": mats,
             "warp_stacks": {h: rng.normal(size=(h, h, 8)) for h in (32, 48)},
             "warp_affine": (warp_matrix, np.array([0.7, -1.2])),
             "latents": rng.normal(size=(224, 33_856)),
             "latent_labels": rng.integers(0, 2, 224),
-            "hires_stacks": hires, "cv": cv_matrices(mods)}
+            "hires_stacks": hires, "cv": cv,
+            "capped": (ehr_x[train], ehr_y[train])}
 
 
 SVM_C = 0.1  # the C of the svm.train_linear kernel
+CAPPED_C = 1.0  # the C of the cap-bound svm.train_linear kernel
+CAPPED = "svm.train_linear 179x15 capped"
 
 
-def svm_objective(data: dict, output) -> float:
-    """Hinge objective of ``train_linear``'s output (weights, bias) on the
-    kernel's input, standardized as ``train_linear`` standardizes it."""
-    x = data["x"]
+def svm_objective(x: np.ndarray, y: np.ndarray, C: float, output) -> float:
+    """Hinge objective of ``train_linear``'s output (weights, bias) on
+    ``x``, standardized as ``train_linear`` standardizes it."""
     std = x.std(axis=0)
     x = (x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
-    y_pm = np.where(data["y"] == 1, 1.0, -1.0)
+    y_pm = np.where(y == 1, 1.0, -1.0)
     w, b = output[0], float(output[1][0])
     margins = 1.0 - y_pm * (x @ w + b)
-    return 0.5 * float(w @ w) + SVM_C * float(np.sum(np.maximum(margins, 0.0)))
+    return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(margins, 0.0)))
 
 
 # kernel name -> fn(inputs, output) -> a solution-quality number
-QUALITY = {"svm.train_linear": svm_objective}
+QUALITY = {
+    "svm.train_linear": lambda data, out: svm_objective(
+        data["x"], data["y"], SVM_C, out),
+    CAPPED: lambda data, out: svm_objective(*data["capped"], CAPPED_C, out),
+}
 
 PRODUCT_CALLS = 300  # mode products per sample: one call is ~10 us
 WARP_CALLS = 100  # warps per sample: one call is ~0.5 ms
@@ -176,9 +193,11 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
     hires_model = mpca.fit(data["hires_stacks"], max_iters=0,
                            target_dims=(46, 46, 8))
 
-    def train():
-        clf = svm.train_linear(data["x"], data["y"], C=SVM_C, epochs=15)
-        return [clf.weights, np.array([clf.bias])]
+    def train(x, y, C):
+        def fn():
+            clf = svm.train_linear(x, y, C=C, epochs=15)
+            return [clf.weights, np.array([clf.bias])]
+        return fn
 
     def cross_validate():
         out = []
@@ -217,7 +236,10 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
                        env={**os.environ, "PYTHONPATH": str(src)}, check=True)
 
     return {
-        "svm.train_linear": ("200x210, C=0.1, 15 epochs", train, 1),
+        "svm.train_linear": ("200x210, C=0.1, 15 epochs",
+                             train(data["x"], data["y"], SVM_C), 1),
+        CAPPED: ("default run's EHR CV fold 3 train rows, C=1.0, 15 epochs",
+                 train(*data["capped"], CAPPED_C), 1),
         "svm.grid_search_cv": ("default run's 199x210 and 199x15, 4 C x 10"
                                " folds, 15 epochs", cross_validate, 1),
         "mpca.fit": ("280 x 32x32x8, max_iters=1", fit, 1),

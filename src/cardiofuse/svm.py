@@ -66,6 +66,18 @@ def train_linear(features: np.ndarray, labels, C: float = 1.0,
     ``KKT_TOL``.  The bias is the mean of f over the free betas, or the
     midpoint of the two bounds if none is free.
 
+    f lives only in two masked copies: ``f_up`` holds f_t where beta_t can
+    rise and -inf where it sits at its upper bound, ``f_low`` holds f_t
+    where beta_t can fall and +inf at its lower bound.  Every t is in at
+    least one of them, because the box is never a point.  A step subtracts
+    the same ``delta * (gram[i] - gram[j])`` from both, in place (an
+    infinity stays infinite), then rewrites entries i and j, the only betas
+    that moved, from their new value and bounds; f is rebuilt from the two
+    copies at exit.  The curvature ||x_i - x_j||^2, floored at ``_TAU``, is
+    one m x m matrix per fit.  So a step is about ten numpy calls on
+    preallocated buffers, each with the arithmetic of the plain form, and
+    the fit gives the same bits as it.
+
     The Gram matrix is built one matrix-vector product per row: a
     matrix-matrix product sums in an order that depends on the BLAS thread
     count, and the fit must not.
@@ -80,6 +92,8 @@ def train_linear(features: np.ndarray, labels, C: float = 1.0,
         raise ValueError("training needs both classes present")
     if C <= 0:
         raise ValueError("C must be positive")
+    if not isinstance(epochs, (int, np.integer)) or epochs < 0:
+        raise ValueError(f"epochs must be a non-negative integer, not {epochs!r}")
 
     mean, std = _standardize_fit(x_raw)
     x = (x_raw - mean) / std
@@ -89,32 +103,50 @@ def train_linear(features: np.ndarray, labels, C: float = 1.0,
     gram = np.empty((m, m))
     for t in range(m):
         np.dot(x, x[t], out=gram[t])
-    diag = gram.diagonal().copy()
-    lo, hi = np.minimum(C * y_pm, 0.0), np.maximum(C * y_pm, 0.0)
-    beta = np.zeros(m)
-    f = y_pm.copy()
-    steps = 0
+    diag = gram.diagonal()
+    curvature = np.maximum(diag[:, None] + diag - 2.0 * gram, _TAU)
+    lo_arr, hi_arr = np.minimum(C * y_pm, 0.0), np.maximum(C * y_pm, 0.0)
+    lo, hi = lo_arr.tolist(), hi_arr.tolist()
+    beta = [0.0] * m
+    f_up = np.where(y_pm > 0, y_pm, -np.inf)   # beta = 0 = hi for y = -1
+    f_low = np.where(y_pm < 0, y_pm, np.inf)   # beta = 0 = lo for y = +1
+    gain, score, d = np.empty(m), np.empty(m), np.empty(m)
+    cap, steps = epochs * m, 0
     while True:
-        f_up = np.where(beta < hi, f, -np.inf)
-        f_low = np.where(beta > lo, f, np.inf)
         i = int(f_up.argmax())
-        gap = float(f[i] - f_low.min())
-        if gap < KKT_TOL or steps == epochs * m:
+        # the value at argmin is the minimum; argmin costs a third of min()
+        f_i, low_min = f_up.item(i), f_low.item(f_low.argmin())
+        gap = f_i - low_min
+        if gap < KKT_TOL or steps >= cap:
             break
         steps += 1
-        gain = np.maximum(f[i] - f_low, 0.0)
-        curvature = np.maximum(diag[i] + diag - 2.0 * gram[i], _TAU)
-        j = int((gain * gain / curvature).argmax())
+        np.subtract(f_i, f_low, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        curv_i = curvature[i]
+        np.multiply(gain, gain, out=score)
+        np.divide(score, curv_i, out=score)
+        j = int(score.argmax())
         room_i, room_j = hi[i] - beta[i], beta[j] - lo[j]
-        delta = min(gain[j] / curvature[j], room_i, room_j)
+        delta = min(gain.item(j) / curv_i.item(j), room_i, room_j)
         # a step that uses up a room lands exactly on the bound
-        beta[i] = hi[i] if delta == room_i else beta[i] + delta
-        beta[j] = lo[j] if delta == room_j else beta[j] - delta
-        f -= delta * (gram[i] - gram[j])
+        beta[i] = b_i = hi[i] if delta == room_i else beta[i] + delta
+        beta[j] = b_j = lo[j] if delta == room_j else beta[j] - delta
+        np.subtract(gram[i], gram[j], out=d)
+        np.multiply(d, delta, out=d)
+        f_up -= d
+        f_low -= d
+        # i was free to rise and j to fall, so those copies hold their f
+        f_i, f_j = f_up.item(i), f_low.item(j)
+        f_up[i] = f_i if b_i < hi[i] else -np.inf
+        f_low[i] = f_i if b_i > lo[i] else np.inf
+        f_up[j] = f_j if b_j < hi[j] else -np.inf
+        f_low[j] = f_j if b_j > lo[j] else np.inf
 
-    free = (lo < beta) & (beta < hi)
+    beta = np.array(beta)
+    f = np.where(beta < hi_arr, f_up, f_low)
+    free = (lo_arr < beta) & (beta < hi_arr)
     b = (float(f[free].mean()) if free.any()
-         else 0.5 * float(f[i] + f_low.min()))
+         else 0.5 * (f_i + low_min))
     return LinearClassifier(weights=beta @ x, bias=b, C=float(C),
                             scaler_mean=mean, scaler_std=std, steps=steps,
                             kkt_gap=max(gap, 0.0))
@@ -152,19 +184,22 @@ def grid_search_cv(features: np.ndarray, labels, grid=DEFAULT_C_GRID,
     """Mean validation AUROC per C over stratified folds; best (smallest) C.
 
     Standardization happens inside each fold's training portion only
-    (``train_linear`` fits its scaler on the data it sees).
+    (``train_linear`` fits its scaler on the data it sees).  Each fold's
+    rows are taken once and reused for every C.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    fold_idx = stratified_folds(y, folds, seed=seed)
     all_idx = np.arange(len(y))
+    splits = []
+    for val in stratified_folds(y, folds, seed=seed):
+        train = np.setdiff1d(all_idx, val)
+        splits.append((x[train], y[train], x[val], y[val]))
     means = []
     for C in grid:
         fold_scores = []
-        for val in fold_idx:
-            train = np.setdiff1d(all_idx, val)
-            clf = train_linear(x[train], y[train], C=C, epochs=epochs)
-            fold_scores.append(auroc(decision_scores(clf, x[val]), y[val]))
+        for x_train, y_train, x_val, y_val in splits:
+            clf = train_linear(x_train, y_train, C=C, epochs=epochs)
+            fold_scores.append(auroc(decision_scores(clf, x_val), y_val))
         means.append(float(np.mean(fold_scores)))
     order = sorted(range(len(grid)), key=lambda i: (-means[i], grid[i]))
     return CvGridResult(grid=list(grid), mean_aurocs=means,

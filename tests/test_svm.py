@@ -133,6 +133,87 @@ class TestTrainLinear:
         assert clf.steps == len(y)
         assert clf.kkt_gap >= svm.KKT_TOL
 
+    @pytest.mark.parametrize("epochs", [-1, 2.5])
+    def test_invalid_epochs_rejected(self, epochs):
+        # m = 21 is odd: 2.5 * m steps is a cap that no step count meets
+        x, y = seeded_problem(4, 3, 1.0, m=21)
+        with pytest.raises(ValueError, match=str(epochs)):
+            svm.train_linear(x, y, C=1.0, epochs=epochs)
+
+
+def reference_train_linear(features, labels, C, epochs):
+    """The plain SMO loop, one masked copy of f per step: (weights, bias,
+    steps, kkt_gap, whether any beta ended free)."""
+    x_raw = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    mean, std = svm._standardize_fit(x_raw)
+    x = (x_raw - mean) / std
+    y_pm = np.where(y == 1, 1.0, -1.0)
+    m = len(y_pm)
+
+    gram = np.empty((m, m))
+    for t in range(m):
+        np.dot(x, x[t], out=gram[t])
+    diag = gram.diagonal().copy()
+    lo, hi = np.minimum(C * y_pm, 0.0), np.maximum(C * y_pm, 0.0)
+    beta = np.zeros(m)
+    f = y_pm.copy()
+    steps = 0
+    while True:
+        f_up = np.where(beta < hi, f, -np.inf)
+        f_low = np.where(beta > lo, f, np.inf)
+        i = int(f_up.argmax())
+        gap = float(f[i] - f_low.min())
+        if gap < svm.KKT_TOL or steps == epochs * m:
+            break
+        steps += 1
+        gain = np.maximum(f[i] - f_low, 0.0)
+        curvature = np.maximum(diag[i] + diag - 2.0 * gram[i], svm._TAU)
+        j = int((gain * gain / curvature).argmax())
+        room_i, room_j = hi[i] - beta[i], beta[j] - lo[j]
+        delta = min(gain[j] / curvature[j], room_i, room_j)
+        # a step that uses up a room lands exactly on the bound
+        beta[i] = hi[i] if delta == room_i else beta[i] + delta
+        beta[j] = lo[j] if delta == room_j else beta[j] - delta
+        f -= delta * (gram[i] - gram[j])
+
+    free = (lo < beta) & (beta < hi)
+    b = (float(f[free].mean()) if free.any()
+         else 0.5 * float(f[i] + f_low.min()))
+    return beta @ x, b, steps, max(gap, 0.0), bool(free.any())
+
+
+def seeded_problem(seed, d, noise, m=199):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m, d))
+    y = (x[:, :3].sum(axis=1) + noise * rng.normal(size=m) > 0)
+    return x, y.astype(np.int64)
+
+
+class TestMatchesPlainLoop:
+    """``train_linear`` keeps f in two masked copies updated in place and
+    its curvature in one matrix per fit; it must give the bits of the plain
+    loop above."""
+
+    @pytest.mark.parametrize("problem, C, epochs, ends", [
+        (seeded_problem(0, 210, 0.0), 0.1, 300, "converged"),  # separable
+        (seeded_problem(1, 15, 3.0), 1.0, 15, "capped"),       # overlapping
+        (blobs(20, 1.0, seed=15, d=3), 1e-4, 300, "none free"),
+        (seeded_problem(1, 15, 3.0), 1.0, 0, "capped"),
+    ], ids=["separable", "cap-bound", "midpoint-bias", "epochs-0"])
+    def test_bit_identical(self, problem, C, epochs, ends):
+        x, y = problem
+        w, b, steps, gap, any_free = reference_train_linear(x, y, C, epochs)
+        # each case reaches the exit it is meant to test
+        assert {"converged": gap < svm.KKT_TOL,
+                "capped": steps == epochs * len(y),
+                "none free": not any_free}[ends]
+        clf = svm.train_linear(x, y, C=C, epochs=epochs)
+        assert clf.weights.tobytes() == w.tobytes()
+        assert np.float64(clf.bias).tobytes() == np.float64(b).tobytes()
+        assert clf.steps == steps
+        assert np.float64(clf.kkt_gap).tobytes() == np.float64(gap).tobytes()
+
 
 FIT_IN_CHILD = """
 import sys
