@@ -9,9 +9,9 @@ Times ``svm.train_linear`` (200 x 210, C = 0.1, 15 epochs, as in a CV fit
 of the benchmark's ``default`` workload; and at C = 1.0 and 15 epochs the
 179 x 15 train rows of the third of the ten CV folds of the EHR matrix
 below, where the ``epochs * m`` step cap binds, as it does in most of that
-workload's EHR fits at C = 1.0), ``svm.grid_search_cv``
-(4 C x 10 folds at 15 epochs, as in that workload, on each of the two CV
-matrices of a default ``cardiofuse run`` at seed 0), ``mpca.fit`` (280 stacks of
+workload's EHR fits at C = 1.0), ``svm.grid_search_cv`` (4 C x 10 folds at
+15 epochs, as in that workload, on each of the two CV matrices of a
+default ``cardiofuse run`` at seed 0), ``mpca.fit`` (280 stacks of
 32 x 32 x 8, one refinement pass) and ``tensor3.mode_n_product`` (a
 32 x 32 x 8 stack by a 30 x 32, 30 x 32 and 8 x 8 matrix along modes 1, 2
 and 3), ``registration.warp_stack`` (a 32 x 32 x 8 and a 48 x 48 x 8 stack
