@@ -18,7 +18,10 @@ and 3), ``registration.warp_stack`` (a 32 x 32 x 8 and a 48 x 48 x 8 stack
 under a small rotation, scaling and shift, as in ``register_stack``),
 ``mpca.fisher_rank`` (224 x 33,856, the shape of the train latents of the
 benchmark's ``imaging_hires`` workload), ``mpca.transform_flat`` (224
-stacks of 48 x 48 x 8 onto 46 x 46 x 8) and a cold
+stacks of 48 x 48 x 8 onto 46 x 46 x 8), ``synthetic.generate_synthetic``
+(a 40-subject study of default-shaped 32 x 32 x 8 stacks, written to a
+temporary directory), ``metrics.fit_score_squash`` (56 seeded scores, the
+size of a default run's validation split) and a cold
 ``import cardiofuse.pipeline`` (a fresh interpreter per sample, so the time
 includes the interpreter's own start-up; that part is the same for both
 trees).  With ``--baseline-src`` a second source tree is imported beside
@@ -44,7 +47,12 @@ reported too: ``<tree>_objective`` is the hinge objective
 0.5 |w|^2 + C sum_i max(0, 1 - y_i (w.x_i + b)) of each tree's classifier
 on the same standardized input (computed here, not by the package), and
 ``objective_ratio`` is current / baseline, printed beside ``bit_identical``:
-below 1 the current solver reached the lower objective.
+below 1 the current solver reached the lower objective.  For
+``metrics.fit_score_squash`` the objective is the negative log-likelihood
+of each tree's (a, b), and ``bit_identical`` compares what a run writes
+from them, the decision curve of the 56 scores' risks: a fit by another
+method can agree with the baseline's (a, b) to 1e-6 but not in every bit.
+The generator's output is the sha256 of every file it wrote.
 After the timed rounds each kernel runs once more per tree under
 ``tracemalloc``, which numpy reports its allocations to; ``<tree>_peak_mib``
 is the peak it allocated above what was allocated when it started (null for
@@ -95,7 +103,7 @@ def load_tree(src: Path, alias: str) -> dict:
     spec.loader.exec_module(module)
     return {name: importlib.import_module(f"{alias}.{name}")
             for name in ("svm", "mpca", "tensor3", "registration", "fusion",
-                         "pipeline")}
+                         "pipeline", "synthetic", "metrics")}
 
 
 # the EHR columns the GAT of a default run at seed 0 selects, in rank order
@@ -148,6 +156,11 @@ def inputs(mods: dict) -> dict:
     ehr_x, ehr_y = cv["ehr"]
     val = mods["svm"].stratified_folds(ehr_y, 10, seed=0)[CAPPED_FOLD]
     train = np.setdiff1d(np.arange(len(ehr_y)), val)
+    # a generator of its own, so the other kernels' inputs stay as they were
+    squash_rng = np.random.default_rng(1)
+    squash_labels = (squash_rng.random(SQUASH_N) < 0.4).astype(np.int64)
+    squash_scores = (1.5 * squash_labels + squash_rng.normal(size=SQUASH_N)
+                     - 0.5)
     return {"x": x, "y": y.astype(np.int64), "stacks": stacks,
             "tensor": stacks[0], "mats": mats,
             "warp_stacks": {h: rng.normal(size=(h, h, 8)) for h in (32, 48)},
@@ -155,9 +168,12 @@ def inputs(mods: dict) -> dict:
             "latents": rng.normal(size=(224, 33_856)),
             "latent_labels": rng.integers(0, 2, 224),
             "hires_stacks": hires, "cv": cv,
-            "capped": (ehr_x[train], ehr_y[train])}
+            "capped": (ehr_x[train], ehr_y[train]),
+            "squash": (squash_scores, squash_labels)}
 
 
+SQUASH_N = 56  # scores of the metrics.fit_score_squash kernel
+GENERATED_SUBJECTS = 40  # subjects of the synthetic.generate_synthetic kernel
 SVM_C = 0.1  # the C of the svm.train_linear kernel
 CAPPED_C = 1.0  # the C of the cap-bound svm.train_linear kernel
 CAPPED = "svm.train_linear 179x15 capped"
@@ -174,12 +190,37 @@ def svm_objective(x: np.ndarray, y: np.ndarray, C: float, output) -> float:
     return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(margins, 0.0)))
 
 
+def squash_nll(scores: np.ndarray, labels: np.ndarray, output) -> float:
+    """Negative log-likelihood of ``fit_score_squash``'s (a, b), each risk
+    clipped to [1e-12, 1 - 1e-12] as the fit clips it."""
+    a, b = output[0]
+    p = np.clip(1.0 / (1.0 + np.exp(np.clip(a * scores + b, -500, 500))),
+                1e-12, 1 - 1e-12)
+    return -float(np.sum(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
+
+
 # kernel name -> fn(inputs, output) -> a solution-quality number
 QUALITY = {
     "svm.train_linear": lambda data, out: svm_objective(
         data["x"], data["y"], SVM_C, out),
     CAPPED: lambda data, out: svm_objective(*data["capped"], CAPPED_C, out),
+    "metrics.fit_score_squash": lambda data, out: squash_nll(
+        *data["squash"], out),
 }
+
+
+def squash_curve(mods: dict, data: dict, output) -> list:
+    """The decision curve a run writes from the squash ``output``."""
+    metrics = mods["current"]["metrics"]
+    scores, labels = data["squash"]
+    a, b = output[0]
+    curve = metrics.dca(metrics.squash_scores(scores, (a, b)), labels)
+    return [np.array(curve)]
+
+
+# kernel name -> fn(modules, inputs, output) -> the arrays compared bit for
+# bit in place of the output
+COMPARED = {"metrics.fit_score_squash": squash_curve}
 
 PRODUCT_CALLS = 300  # mode products per sample: one call is ~10 us
 WARP_CALLS = 100  # warps per sample: one call is ~0.5 ms
@@ -188,7 +229,8 @@ WARP_CALLS = 100  # warps per sample: one call is ~0.5 ms
 def kernels(src: Path, mods: dict, data: dict) -> dict:
     """name -> (input, fn returning the output arrays or None, calls per fn)."""
     svm, mpca, tensor3 = mods["svm"], mods["mpca"], mods["tensor3"]
-    registration = mods["registration"]
+    registration, synthetic = mods["registration"], mods["synthetic"]
+    study_dir = tempfile.TemporaryDirectory()  # removed at exit
     affine = registration.AffineTransform(*data["warp_affine"])
     hires_model = mpca.fit(data["hires_stacks"], max_iters=0,
                            target_dims=(46, 46, 8))
@@ -231,6 +273,19 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
     def project():
         return [mpca.transform_flat(hires_model, data["hires_stacks"])]
 
+    def generate():
+        synthetic.generate_synthetic(
+            synthetic.SyntheticSpec(seed=0, n_subjects=GENERATED_SUBJECTS),
+            study_dir.name)
+        digest = hashlib.sha256()
+        for path in sorted(Path(study_dir.name).rglob("*")):
+            if path.is_file():
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        return [np.frombuffer(digest.digest(), dtype=np.uint8)]
+
+    def squash():
+        return [np.array(mods["metrics"].fit_score_squash(*data["squash"]))]
+
     def cold_import():
         subprocess.run([sys.executable, "-c", "import cardiofuse.pipeline"],
                        env={**os.environ, "PYTHONPATH": str(src)}, check=True)
@@ -252,6 +307,9 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
         "mpca.fisher_rank": ("224 x 33,856", rank, 1),
         "mpca.transform_flat": ("224 x 48x48x8 onto 46x46x8",
                                 project, 1),
+        "synthetic.generate_synthetic": (
+            f"{GENERATED_SUBJECTS} subjects, 32x32x8", generate, 1),
+        "metrics.fit_score_squash": (f"{SQUASH_N} scores", squash, 1),
         "import cardiofuse.pipeline": ("fresh interpreter, per process",
                                        cold_import, 1),
     }
@@ -361,6 +419,9 @@ def main(argv=None) -> int:
             entry["paired_speedup"] = float(median)
             entry["paired_speedup_quartiles"] = [float(q1), float(q3)]
             current, baseline = outputs[name]["current"], outputs[name]["baseline"]
+            if name in COMPARED:
+                current, baseline = (COMPARED[name](mods, data, current),
+                                     COMPARED[name](mods, data, baseline))
             entry["bit_identical"] = None if current is None else all(
                 a.dtype == b.dtype and a.shape == b.shape
                 and a.tobytes() == b.tobytes()

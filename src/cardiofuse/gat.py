@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .metrics import auroc
 
@@ -252,6 +251,11 @@ def _forward(params: dict[str, np.ndarray], config: GatConfig,
              dropout_rng: np.random.Generator | None,
              order_invariant: bool):
     """Logits and the per-edge backward cache (see :func:`forward`)."""
+    # imported here, not with the package: ``scipy.sparse`` is about 0.3 s
+    # of a cold start, and a process that only generates or loads a study
+    # never runs the GAT
+    from scipy import sparse
+
     h = np.asarray(h, dtype=np.float64)
     v = h.shape[0]
     starts = edges.indptr[:-1]

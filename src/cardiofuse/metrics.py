@@ -6,7 +6,16 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.optimize import minimize
+
+# Newton fit of the risk squash: it stops when both gradient entries are
+# below SQUASH_GRAD_TOL, after SQUASH_MAX_ITERS steps, or when a step
+# shorter than SQUASH_MIN_STEP still does not lower the likelihood;
+# SQUASH_RIDGE on the Hessian's diagonal bounds a step where the
+# likelihood is flat
+SQUASH_GRAD_TOL = 1e-9
+SQUASH_MAX_ITERS = 100
+SQUASH_MIN_STEP = 1e-10
+SQUASH_RIDGE = 1e-12
 
 
 def _average_ranks(values) -> np.ndarray:
@@ -76,38 +85,85 @@ def mcc(conf: tuple[int, int, int, int]) -> float:
     return (tp * tn - fp * fn) / np.sqrt(denom_sq)
 
 
+def _squash_probabilities(s, a, b) -> np.ndarray:
+    """p = 1/(1+exp(a*s+b)), with the exponent clipped to [-500, 500]."""
+    return 1.0 / (1.0 + np.exp(np.clip(a * s + b, -500, 500)))
+
+
+def _squash_nll(s, y, a, b) -> float:
+    """Negative log-likelihood of the squash, each p clipped to
+    [1e-12, 1 - 1e-12]."""
+    p = np.clip(_squash_probabilities(s, a, b), 1e-12, 1 - 1e-12)
+    return -float(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p)))
+
+
 def fit_score_squash(scores, labels) -> tuple[float, float]:
     """Fit a logistic squashing p = 1/(1+exp(a*s+b)) on labelled scores.
 
-    Maximum-likelihood (Platt-style) so decision scores can be read as
-    risks in [0, 1] for decision-curve analysis.  The pipeline fits it on
-    held-out validation scores: in-sample scores of an overfit classifier
-    are near-separable and give near-0/1 risks.  Returns (a, b); ``a`` is
-    non-positive so higher score means higher risk: a fitted a > 0 becomes
-    a = 0 with b = log(n0/n1), the maximum-likelihood constant risk.
+    Maximum-likelihood (Platt-style, on the 0/1 labels themselves, not
+    Platt's smoothed targets) so decision scores can be read as risks in
+    [0, 1] for decision-curve analysis.  The pipeline fits it on held-out
+    validation scores: in-sample scores of an overfit classifier are
+    near-separable and give near-0/1 risks.
+
+    Newton's method (Lin, Lin & Weng 2007) starts from the constant risk
+    (a, b) = (0, log(n0/n1)) and steps along the likelihood's exact
+    gradient and Hessian; a backtracking (Armijo) line search accepts a
+    step only if it lowers the negative log-likelihood with each p clipped
+    to [1e-12, 1 - 1e-12].  When the scores separate the classes, no
+    finite optimum exists: the fit stops, at a finite a < 0, once the
+    clipped likelihood stops falling.  Returns (a, b); ``a`` is
+    non-positive so higher score means higher risk: a fitted a > 0
+    becomes a = 0 with b = log(n0/n1), the maximum-likelihood constant
+    risk.  Both classes must be present and every score finite, or
+    ValueError.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-
-    def nll(theta):
-        a, b = theta
-        z = np.clip(a * s + b, -500, 500)
-        p = 1.0 / (1.0 + np.exp(z))
-        p = np.clip(p, 1e-12, 1 - 1e-12)
-        return -float(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p)))
-
-    res = minimize(nll, x0=np.array([-1.0, 0.0]), method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000})
-    a, b = res.x
+    n_pos = int(np.sum(y == 1))
+    n_neg = int(np.sum(y == 0))
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError(f"the squash fit needs both classes present; got "
+                         f"{n_pos} of label 1 and {n_neg} of label 0")
+    n_bad = int(np.sum(~np.isfinite(s)))
+    if n_bad:
+        raise ValueError(f"the squash fit needs finite scores; {n_bad} of "
+                         f"{s.size} are NaN or infinite")
+    a, b = 0.0, float(np.log(n_neg / n_pos))
+    nll = _squash_nll(s, y, a, b)
+    for _ in range(SQUASH_MAX_ITERS):
+        p = _squash_probabilities(s, a, b)
+        r = y - p  # d nll / d(a*s+b)
+        w = p * (1.0 - p)
+        grad_a, grad_b = float(r @ s), float(np.sum(r))
+        if max(abs(grad_a), abs(grad_b)) < SQUASH_GRAD_TOL:
+            break
+        h_aa = float(w @ (s * s)) + SQUASH_RIDGE
+        h_ab = float(w @ s)
+        h_bb = float(np.sum(w)) + SQUASH_RIDGE
+        det = h_aa * h_bb - h_ab * h_ab
+        if not det > 0:
+            break
+        step_a = -(h_bb * grad_a - h_ab * grad_b) / det
+        step_b = -(h_aa * grad_b - h_ab * grad_a) / det
+        slope = grad_a * step_a + grad_b * step_b
+        t = 1.0
+        while t >= SQUASH_MIN_STEP:
+            trial = _squash_nll(s, y, a + t * step_a, b + t * step_b)
+            if trial <= nll + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no step lowers the likelihood any more
+        a, b, nll = a + t * step_a, b + t * step_b, trial
     if a > 0:
-        a, b = 0.0, np.log(np.sum(y == 0) / np.sum(y == 1))
+        a, b = 0.0, np.log(n_neg / n_pos)
     return float(a), float(b)
 
 
 def squash_scores(scores, squash: tuple[float, float]) -> np.ndarray:
     a, b = squash
-    z = np.clip(a * np.asarray(scores, dtype=np.float64) + b, -500, 500)
-    return 1.0 / (1.0 + np.exp(z))
+    return _squash_probabilities(np.asarray(scores, dtype=np.float64), a, b)
 
 
 def default_threshold_grid() -> np.ndarray:

@@ -124,12 +124,23 @@ def warp_stack(t: np.ndarray, a: AffineTransform) -> np.ndarray:
     r0, r1, wr0, wr1 = _bilinear_taps(r[inside], h)
     c0, c1, wc0, wc1 = _bilinear_taps(c[inside], w)
     pixels = t.reshape(h * w, n_frames)
+    # one gather of the taps (r0, c0), (r0, c1), (r1, c0), (r1, c1)
+    taps = pixels.take(np.concatenate([r0 * w + c0, r0 * w + c1,
+                                       r1 * w + c0, r1 * w + c1]),
+                       axis=0).reshape(4, -1, n_frames)
+    taps[:2] *= wr0
+    taps[2:] *= wr1
+    taps[0::2] *= wc0
+    taps[1::2] *= wc1
+    # adding 0.0 first is ndimage's accumulator: it turns a -0.0 sum into
+    # +0.0; in place, it is the same addition as 0.0 + taps[0]
+    acc = taps[0]
+    acc += 0.0
+    acc += taps[1]
+    acc += taps[2]
+    acc += taps[3]
     out = np.zeros((h * w, n_frames))
-    # the leading 0.0 is ndimage's accumulator: it turns a -0.0 sum into +0.0
-    out[inside] = (0.0 + (pixels[r0 * w + c0] * wr0) * wc0
-                   + (pixels[r0 * w + c1] * wr0) * wc1
-                   + (pixels[r1 * w + c0] * wr1) * wc0
-                   + (pixels[r1 * w + c1] * wr1) * wc1)
+    out[inside] = acc
     return out.reshape(h, w, n_frames)
 
 

@@ -78,18 +78,18 @@ def _blob_centers(modality: str, dims) -> list[np.ndarray]:
     return [np.array(c) * scale for c in base]
 
 
-def _render_canonical(dims, modality, signal_label, amplitude, strength,
-                      rng) -> np.ndarray:
-    """Template-space stack with a distributed class signal.
+def _blob_image(dims, modality, signal_label, amplitude,
+                strength) -> np.ndarray:
+    """Template-space (H, W) image of one modality's class signal.
 
     The class changes several independent aspects at once, so the signal
     spans many latent directions instead of a single contrast: amplitude
-    of site 1 (up), amplitude of site 2 (down), anatomy blob radius, and
-    the depth of the temporal pulsation.  The blob image does not depend
-    on the frame, so it is computed once and each frame is its pulse times
-    that image (the same product, bit for bit, as recomputing it per frame).
+    of site 1 (up), amplitude of site 2 (down) and anatomy blob radius
+    here, and the depth of the temporal pulsation in
+    :func:`_render_canonical`.  The image depends only on the modality,
+    the signal label and the spec, so a study needs four of them.
     """
-    h, w, n_frames = dims
+    h, w, _ = dims
     cols, rows = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
     c1, c2, c_fix = _blob_centers(modality, dims)
     y = float(signal_label)
@@ -101,10 +101,16 @@ def _render_canonical(dims, modality, signal_label, amplitude, strength,
              / (2 * fix_radius ** 2))
     amp1 = amplitude * (1.0 + strength * y)
     amp2 = amplitude * (1.0 - 0.5 * strength * y)
-    depth = 0.15 + 0.15 * strength * y
+    return amp1 * np.exp(-d1) + amp2 * np.exp(-d2) + amplitude * np.exp(-d_fix)
+
+
+def _render_canonical(image, n_frames, signal_label, strength,
+                      rng) -> np.ndarray:
+    """Template-space (H, W, T) stack: each frame is the blob ``image``
+    times a pulse of random phase, deeper for signal label 1."""
+    depth = 0.15 + 0.15 * strength * float(signal_label)
     phase = rng.uniform(0, 2 * np.pi)
-    image = amp1 * np.exp(-d1) + amp2 * np.exp(-d2) + amplitude * np.exp(-d_fix)
-    stack = np.empty(dims)
+    stack = np.empty(image.shape + (n_frames,))
     for t in range(n_frames):
         pulse = 1.0 - depth + depth * np.sin(2 * np.pi * t / n_frames + phase)
         stack[:, :, t] = pulse * image
@@ -142,6 +148,9 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> dict:
         informative[key] = rng.random(n) < frac
 
     modalities = (SHORT_AXIS, FOUR_CHAMBER)
+    images = {(modality, label): _blob_image(
+        spec.dims, modality, label, spec.blob_amplitude, spec.signal_strength)
+        for modality in modalities for label in (0, 1)}
     landmark_rows = []
     for idx, sid in enumerate(ids):
         affine = _subject_affine(rng)
@@ -153,8 +162,8 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> dict:
             else:
                 signal_label = int(rng.integers(0, 2))
             canonical = _render_canonical(
-                spec.dims, modality, signal_label,
-                spec.blob_amplitude, spec.signal_strength, rng,
+                images[modality, signal_label], spec.dims[2], signal_label,
+                spec.signal_strength, rng,
             )
             stack = warp_stack(canonical, affine.inverse())
             if spec.image_noise > 0:

@@ -1,6 +1,7 @@
 """On-disk format, study assembly, cleaning, and splitting tests."""
 
 import csv
+import hashlib
 import struct
 from pathlib import Path
 
@@ -321,6 +322,20 @@ class TestSyntheticGenerator:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes()
+
+    def test_tensor_bytes_pinned(self, tmp_path):
+        # sha256 over (file name, bytes) of every tensor, as the generator
+        # wrote them before the blob images were computed once per class;
+        # it also depends on numpy's random streams and its exp and sin
+        spec = synthetic.SyntheticSpec(seed=3, n_subjects=12, dims=(16, 16, 4))
+        synthetic.generate_synthetic(spec, tmp_path)
+        digest = hashlib.sha256()
+        paths = sorted((tmp_path / "tensors").iterdir())
+        for path in paths:
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert len(paths) == 24
+        assert digest.hexdigest() == ("1f693b262cdf67111c761eadb0621d6f"
+                                      "b98f2d3d6e9dd2172e2b7e2c014f8fd7")
 
     def test_generated_study_loads_cleanly(self, tmp_path):
         spec = synthetic.SyntheticSpec(seed=6, n_subjects=10, dims=(8, 8, 2),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.stats import rankdata
 
 from cardiofuse import metrics
@@ -203,6 +204,28 @@ class TestDca:
         assert grid[-1] == pytest.approx(0.99)
 
 
+def nelder_mead_squash(scores, labels):
+    """Oracle: the Nelder-Mead fit the squash used before its Newton fit,
+    copied verbatim."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+
+    def nll(theta):
+        a, b = theta
+        z = np.clip(a * s + b, -500, 500)
+        p = 1.0 / (1.0 + np.exp(z))
+        p = np.clip(p, 1e-12, 1 - 1e-12)
+        return -float(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p)))
+
+    res = minimize(nll, x0=np.array([-1.0, 0.0]), method="Nelder-Mead",
+                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000})
+    a, b = res.x
+    if a > 0:
+        a, b = 0.0, np.log(np.sum(y == 0) / np.sum(y == 1))
+    return float(a), float(b)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSquash:
     def test_monotone_and_bounded(self):
         rng = np.random.default_rng(5)
@@ -233,6 +256,47 @@ class TestSquash:
         assert b == pytest.approx(np.log(30 / 10), rel=1e-12)
         np.testing.assert_allclose(metrics.squash_scores(scores, (a, b)), 0.25,
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("seed,n,effect", [(0, 56, 1.5), (1, 40, 0.8),
+                                               (2, 120, 2.5), (3, 80, 1.0)])
+    def test_matches_the_nelder_mead_oracle(self, seed, n, effect):
+        rng = np.random.default_rng(seed)
+        labels = (rng.random(n) < 0.4).astype(int)
+        labels[0], labels[1] = 0, 1
+        scores = effect * labels + rng.normal(size=n) - 0.5
+        assert scores[labels == 1].min() < scores[labels == 0].max()
+        a, b = metrics.fit_score_squash(scores, labels)
+        a_ref, b_ref = nelder_mead_squash(scores, labels)
+        assert a < 0
+        assert abs(a - a_ref) <= 1e-6 and abs(b - b_ref) <= 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_separable_scores_stop_at_a_finite_fit(self, seed):
+        # no finite optimum exists: the fit must stop where the clipped
+        # likelihood saturates, without overflow
+        rng = np.random.default_rng(seed)
+        labels = np.array([0] * 20 + [1] * 15)
+        scores = np.where(labels == 1, 1.0, -1.0) + rng.uniform(-0.5, 0.5, 35)
+        a, b = metrics.fit_score_squash(scores, labels)
+        assert np.isfinite(a) and np.isfinite(b) and a < 0
+        risks = metrics.squash_scores(np.sort(scores), (a, b))
+        assert np.all(risks >= 0) and np.all(risks <= 1)
+        assert np.all(np.diff(risks) >= 0)
+        assert metrics.auroc(risks, np.sort(labels)) == 1.0
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_rejected(self, label):
+        n_pos, n_neg = (8, 0) if label else (0, 8)
+        with pytest.raises(ValueError, match=f"got {n_pos} of label 1 and "
+                                             f"{n_neg} of label 0"):
+            metrics.fit_score_squash(np.linspace(-1, 1, 8), [label] * 8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        scores = np.linspace(-1, 1, 8)
+        scores[3] = bad
+        with pytest.raises(ValueError, match="1 of 8 are NaN or infinite"):
+            metrics.fit_score_squash(scores, [0, 1] * 4)
 
 
 class TestEvalReport:
