@@ -15,7 +15,9 @@ default ``cardiofuse run`` at seed 0), ``mpca.fit`` (280 stacks of
 32 x 32 x 8, one refinement pass) and ``tensor3.mode_n_product`` (a
 32 x 32 x 8 stack by a 30 x 32, 30 x 32 and 8 x 8 matrix along modes 1, 2
 and 3), ``registration.warp_stack`` (a 32 x 32 x 8 and a 48 x 48 x 8 stack
-under a small rotation, scaling and shift, as in ``register_stack``),
+under a small rotation, scaling and shift, as in ``register_stack``;
+the 100 outputs of a sample are all kept until it ends, as a run keeps
+its registered stacks),
 ``mpca.fisher_rank`` (224 x 33,856, the shape of the train latents of the
 benchmark's ``imaging_hires`` workload), ``mpca.transform_flat`` (224
 stacks of 48 x 48 x 8 onto 46 x 46 x 8), ``synthetic.generate_synthetic``
@@ -230,6 +232,8 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
     """name -> (input, fn returning the output arrays or None, calls per fn)."""
     svm, mpca, tensor3 = mods["svm"], mods["mpca"], mods["tensor3"]
     registration, synthetic = mods["registration"], mods["synthetic"]
+    # the pipeline's CV grid and folds; grid_search_cv has no defaults for them
+    svm_cfg = mods["pipeline"].DEFAULT_CONFIG["svm"]
     study_dir = tempfile.TemporaryDirectory()  # removed at exit
     affine = registration.AffineTransform(*data["warp_affine"])
     hires_model = mpca.fit(data["hires_stacks"], max_iters=0,
@@ -244,7 +248,8 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
     def cross_validate():
         out = []
         for x, y in data["cv"].values():
-            cv = svm.grid_search_cv(x, y, epochs=15)
+            cv = svm.grid_search_cv(x, y, grid=svm_cfg["grid"],
+                                    folds=svm_cfg["folds"], epochs=15)
             out += [np.array(cv.mean_aurocs), np.array([cv.chosen_c])]
         return out
 
@@ -261,10 +266,12 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
         return out
 
     def warp(h):
+        # every output stays alive until the loop ends, as the registered
+        # stacks of a run do: a loop that dropped each one would time the
+        # heap handing its pages back to the system as much as the gather
         def fn():
-            for _ in range(WARP_CALLS):
-                out = registration.warp_stack(data["warp_stacks"][h], affine)
-            return [out]
+            return [registration.warp_stack(data["warp_stacks"][h], affine)
+                    for _ in range(WARP_CALLS)]
         return fn
 
     def rank():

@@ -21,7 +21,8 @@ labels = rng.integers(0, 2, n)
 x = rng.normal(size=(n, 8)) + 0.9 * labels[:, None]
 train, test = np.arange(200), np.arange(200, n)
 
-cv = svm.grid_search_cv(x[train], labels[train], folds=10, seed=0, epochs=100)
+cv = svm.grid_search_cv(x[train], labels[train], grid=[0.001, 0.01, 0.1, 1.0],
+                        folds=10, epochs=100, seed=0)
 print("grid-search CV (mean fold AUROC per C):")
 for C, a in zip(cv.grid, cv.mean_aurocs):
     marker = "  <- chosen" if C == cv.chosen_c else ""

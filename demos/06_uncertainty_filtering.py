@@ -46,7 +46,8 @@ def eval_fn(candidate_ids):
     return auroc(svm.decision_scores(clf, val_x), val_y)
 
 
-report = filter_training_samples(subjects, Q=10, eval_fn=eval_fn)
+report = filter_training_samples(subjects, Q=10, eval_fn=eval_fn,
+                                 min_improvement=1e-4)
 
 print("bins removed -> validation AUROC:")
 for rho, score in report.validation_auroc_trace:

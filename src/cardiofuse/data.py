@@ -29,8 +29,6 @@ from .registration import MODALITIES, N_LANDMARKS, LandmarkSet
 TENSOR_MAGIC = b"HFT1"
 TENSOR_VERSION = 1
 
-DEFAULT_MAX_MISSING_FRACTION = 0.05
-
 
 class StudyFormatError(ValueError):
     """Malformed study file (bad header, duplicate rows, bad cells)."""
@@ -237,8 +235,7 @@ class CleaningReport:
 
 
 def clean_tabular(table: StudyTable,
-                  max_missing_fraction: float = DEFAULT_MAX_MISSING_FRACTION
-                  ) -> CleaningReport:
+                  max_missing_fraction: float) -> CleaningReport:
     """Drop features with too many missing values; mean-impute the rest.
 
     Imputation means come from the training split only.  Modifies the
@@ -288,7 +285,7 @@ def clean_tabular(table: StudyTable,
 # --- splitting -------------------------------------------------------------
 
 def chronological_split(table: StudyTable, train_fraction: float,
-                        test_segments: int = 5) -> StudyTable:
+                        test_segments: int) -> StudyTable:
     """Tag earliest subjects as train; split the rest into time segments.
 
     Segments are contiguous in screening order; when sizes do not divide

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MIN_IMPROVEMENT = 1e-4
 PATIENCE = 2
 
 
@@ -48,8 +47,7 @@ def _pooled_landmarks(subjects) -> list[tuple[float, str, str, int]]:
 
 
 def filter_training_samples(train_subjects, Q: int, eval_fn,
-                            min_improvement: float = MIN_IMPROVEMENT
-                            ) -> FilterReport:
+                            min_improvement: float) -> FilterReport:
     """Iterative quantile filtering driven by a validation-AUROC callback.
 
     ``eval_fn`` receives the list of candidate training subject ids and

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import mpca
 from .data import StudyTable, Subject
-from .svm import (DEFAULT_C_GRID, KKT_TOL, CvGridResult, LinearClassifier,
-                  decision_scores, grid_search_cv, train_linear)
+from .svm import (KKT_TOL, CvGridResult, LinearClassifier, decision_scores,
+                  grid_search_cv, train_linear)
 
 STRATEGIES = ("early", "intermediate", "late", "hybrid_early",
               "hybrid_intermediate")
@@ -49,17 +49,19 @@ class FusionPlan:
             raise ValueError("plan needs at least one imaging modality")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    kappa: int = mpca.DEFAULT_KAPPA
-    variance_fraction: float = mpca.DEFAULT_VARIANCE_FRACTION
-    mpca_iters: int = 1
-    c_grid: tuple = DEFAULT_C_GRID
-    fixed_c: float | None = None
-    cv_folds: int = 10
-    svm_epochs: int = 300
-    seed: int = 0
-    ehr_features: list[str] | None = None  # names selected upstream (GAT)
+    """The settings ``run_plan`` trains with; ``pipeline.pipeline_config``
+    builds it from a config's ``mpca``, ``svm`` and ``seed`` entries."""
+    kappa: int
+    variance_fraction: float
+    mpca_iters: int
+    c_grid: list[float]
+    fixed_c: float | None
+    cv_folds: int
+    svm_epochs: int
+    seed: int
+    ehr_features: list[str] | None  # names selected upstream (GAT)
 
 
 @dataclass
@@ -297,7 +299,7 @@ def fit_branch(name: str, modalities: list[str], mode: str,
                config: PipelineConfig) -> BranchResult:
     """Fit one branch's features, C and classifier on ``splits["train"]``;
     score every split."""
-    y_train = np.asarray([s.label for s in splits["train"]], dtype=np.int64)
+    y_train = study.labels(splits["train"])
     kappa = models = None
     if mode == EHR:
         x = _ehr_features(splits, study, config)
@@ -320,9 +322,8 @@ def fit_branch(name: str, modalities: list[str], mode: str,
 
 
 def run_plan(plan: FusionPlan, study: StudyTable,
-             config: PipelineConfig | None = None) -> RunResult:
+             config: PipelineConfig) -> RunResult:
     """Train every branch of the plan and emit fused decision scores."""
-    config = config or PipelineConfig()
     splits = _splits(study)
     if not splits["train"]:
         raise ValueError("study has no train split")
@@ -336,7 +337,7 @@ def run_plan(plan: FusionPlan, study: StudyTable,
     branches = [fit_branch(name, modalities, mode, splits, study, config)
                 for name, modalities, mode in _branch_specs(plan)]
 
-    y_val = np.asarray([s.label for s in splits["validation"]], dtype=np.int64)
+    y_val = study.labels(splits["validation"])
     stats, weights = fit_late_fusion([b.scores["train"] for b in branches],
                                      [b.scores["validation"] for b in branches],
                                      y_val)

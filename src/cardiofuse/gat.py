@@ -34,11 +34,6 @@ import numpy as np
 
 from .metrics import auroc
 
-DEFAULT_HIDDEN_DIMS = (64, 64, 64)
-DEFAULT_HEADS = 3
-DEFAULT_THETA = 15
-DEFAULT_TARGET_DEGREE = 10
-
 
 @dataclass
 class SubjectGraph:
@@ -62,8 +57,8 @@ class SubjectGraph:
 
 @dataclass
 class GatConfig:
-    hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
-    heads: int = DEFAULT_HEADS
+    hidden_dims: tuple[int, ...] = (64, 64, 64)
+    heads: int = 3
     leaky_slope: float = 0.25
     dropout: float = 0.5
     edge_dim: int = 8
@@ -115,8 +110,8 @@ def standardize_features(features: np.ndarray,
     return (x - mean) / std, mean, std
 
 
-def build_graph(features: np.ndarray, target_degree: int = DEFAULT_TARGET_DEGREE,
-                labels=None, train_mask=None, val_mask=None,
+def build_graph(features: np.ndarray, target_degree: int, labels=None,
+                train_mask=None, val_mask=None,
                 feature_names: list[str] | None = None,
                 standardize: bool = True) -> SubjectGraph:
     """Cosine-similarity graph with threshold tuned to the target degree."""
@@ -405,9 +400,8 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
     return loss, grads
 
 
-def train(g: SubjectGraph, config: GatConfig | None = None) -> GatModel:
+def train(g: SubjectGraph, config: GatConfig) -> GatModel:
     """Full-batch Adam training; bit-reproducible for a fixed seed."""
-    config = config or GatConfig()
     if not g.train_mask.any():
         raise ValueError("empty train mask")
     if len(np.unique(g.labels[g.train_mask])) < 2:
@@ -441,7 +435,7 @@ def predict_scores(model: GatModel, g: SubjectGraph,
 
 
 def ablation_importance(model: GatModel, g: SubjectGraph,
-                        theta: int = DEFAULT_THETA) -> FeatureImportanceReport:
+                        theta: int) -> FeatureImportanceReport:
     """Rank features by validation AUROC drop when zeroed in the input.
 
     The graph edges are kept fixed during ablation so the measured drop

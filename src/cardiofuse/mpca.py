@@ -17,7 +17,6 @@ import numpy as np
 
 from .tensor3 import mode_n_product, mode_n_unfold
 
-DEFAULT_KAPPA = 210
 DEFAULT_VARIANCE_FRACTION = 0.97
 
 _FISHER_VAR_FLOOR = 1e-12

@@ -3,7 +3,11 @@
 Stages, in order: registration to a common space, uncertainty filtering,
 tabular feature selection, fusion training, evaluation, decision-curve
 analysis.  All randomness flows from the single config seed.  The config
-is a JSON document; see DEFAULT_CONFIG for the full key-value schema.
+is a JSON document merged over DEFAULT_CONFIG, the full key-value schema
+and the one place a pipeline default is written: ``load_config`` rejects
+a key it lacks, the typed configs (``PipelineConfig``, ``GatConfig``,
+``FusionPlan``, ``SyntheticSpec``) are built from its sections, and the
+library functions it feeds take these values as arguments.
 """
 
 from __future__ import annotations
@@ -73,51 +77,44 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# every key a config may set; `synthetic` takes the fields of SyntheticSpec
-_KNOWN_KEYS: dict = {
-    **DEFAULT_CONFIG,
-    "synthetic": dict.fromkeys(f.name for f in dataclasses.fields(SyntheticSpec)),
-}
+# the keys `synthetic` takes; their values go to SyntheticSpec unchecked
+_SPEC_FIELDS = frozenset(f.name for f in dataclasses.fields(SyntheticSpec))
 
 
-def _check_keys(override: dict, known: dict, source: str,
-                path: str = "") -> None:
-    """Reject a section that is not a JSON object, or a key absent from
-    ``known``, naming its dotted path."""
+def _merge(cfg: dict, override, source: str, path: str = "") -> dict:
+    """Merge the JSON object ``override`` into ``cfg`` in place; return it.
+
+    A key ``cfg`` lacks, a section that is not a JSON object, or a JSON
+    object where ``cfg`` holds a plain value raises ValueError naming
+    ``source`` and the key's dotted path.
+    """
     if not isinstance(override, dict):
         where = f"config key {path[:-1]!r}" if path else "the config"
         raise ValueError(f"{source}: {where} must be a JSON object, "
                          f"not {type(override).__name__}")
+    spec = path == "synthetic."
     for key, value in override.items():
-        if key not in known:
-            raise ValueError(f"{source}: unknown config key {path + key!r}")
-        if isinstance(known[key], dict):
-            _check_keys(value, known[key], source, f"{path}{key}.")
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
+        name = path + key
+        if key not in (_SPEC_FIELDS if spec else cfg):
+            raise ValueError(f"{source}: unknown config key {name!r}")
+        if not spec and isinstance(cfg[key], dict):
+            _merge(cfg[key], value, source, name + ".")
+        elif not spec and isinstance(value, dict):
+            raise ValueError(f"{source}: config key {name!r} must be a "
+                             f"plain value, not a JSON object")
         else:
-            merged[key] = copy.deepcopy(value)
-    return merged
+            cfg[key] = copy.deepcopy(value)
+    return cfg
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """DEFAULT_CONFIG merged with the JSON file at ``path``, then with
-    ``overrides``; a key the defaults lack raises ValueError."""
-    cfg = DEFAULT_CONFIG
+    """A copy of DEFAULT_CONFIG merged with the JSON file at ``path``, then
+    with ``overrides``; a key the defaults lack raises ValueError."""
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path, encoding="utf-8") as f:
-            loaded = json.load(f)
-        _check_keys(loaded, _KNOWN_KEYS, str(path))
-        cfg = _deep_merge(cfg, loaded)
-    if overrides:
-        _check_keys(overrides, _KNOWN_KEYS, "overrides")
-        cfg = _deep_merge(cfg, overrides)
-    return cfg
+            _merge(cfg, json.load(f), str(path))
+    return _merge(cfg, overrides or {}, "overrides")
 
 
 def pipeline_config(cfg: dict, ehr_features=None) -> PipelineConfig:
@@ -125,7 +122,7 @@ def pipeline_config(cfg: dict, ehr_features=None) -> PipelineConfig:
         kappa=cfg["mpca"]["kappa"],
         variance_fraction=cfg["mpca"]["variance_fraction"],
         mpca_iters=cfg["mpca"]["iters"],
-        c_grid=tuple(cfg["svm"]["grid"]),
+        c_grid=cfg["svm"]["grid"],
         fixed_c=cfg["svm"]["fixed_c"],
         cv_folds=cfg["svm"]["folds"],
         svm_epochs=cfg["svm"]["epochs"],
@@ -135,11 +132,7 @@ def pipeline_config(cfg: dict, ehr_features=None) -> PipelineConfig:
 
 
 def stage_generate(cfg: dict, out_dir) -> dict:
-    spec_kwargs = dict(cfg.get("synthetic", {}))
-    spec_kwargs.setdefault("seed", cfg["seed"])
-    if "dims" in spec_kwargs:
-        spec_kwargs["dims"] = tuple(spec_kwargs["dims"])
-    spec = SyntheticSpec(**spec_kwargs)
+    spec = SyntheticSpec(**{"seed": cfg["seed"], **cfg["synthetic"]})
     return generate_synthetic(spec, out_dir)
 
 
@@ -193,7 +186,7 @@ def make_filter_eval(study: StudyTable, cfg: dict):
     fcfg = cfg["filtering"]
     modality = fcfg["eval_modality"]
     val = study.by_split("validation")
-    y_val = np.asarray([s.label for s in val], dtype=np.int64)
+    y_val = study.labels(val)
     by_id = {s.id: s for s in study.subjects}
     config = dataclasses.replace(pipeline_config(cfg), fixed_c=fcfg["eval_c"],
                                  svm_epochs=fcfg["eval_epochs"])
@@ -235,26 +228,25 @@ def stage_select_features(study: StudyTable, cfg: dict):
         train_mask=train_mask, val_mask=val_mask,
         feature_names=study.feature_names,
     )
-    config = gat.GatConfig(
-        hidden_dims=tuple(gcfg["hidden_dims"]),
-        heads=gcfg["heads"],
-        leaky_slope=gcfg["leaky_slope"],
-        dropout=gcfg["dropout"],
-        learning_rate=gcfg["learning_rate"],
-        epochs=gcfg["epochs"],
-        seed=cfg["seed"],
-    )
+    config = gat.GatConfig(**{k: v for k, v in gcfg.items()
+                              if k not in ("target_degree", "theta")},
+                           seed=cfg["seed"])
     model = gat.train(graph, config)
     return gat.ablation_importance(model, graph, theta=gcfg["theta"])
 
 
 def stage_train(study: StudyTable, cfg: dict,
                 ehr_features=None) -> RunResult:
-    plan = FusionPlan(
-        strategy=cfg["fusion"]["strategy"],
-        modalities=list(cfg["fusion"]["modalities"]),
-    )
-    return run_plan(plan, study, pipeline_config(cfg, ehr_features))
+    return run_plan(FusionPlan(**cfg["fusion"]), study,
+                    pipeline_config(cfg, ehr_features))
+
+
+def _test_labels(result: RunResult, study: StudyTable) -> np.ndarray:
+    """Labels of the run's test subjects, in the order of its scores."""
+    test = study.by_split("test")
+    if [s.id for s in test] != result.ids["test"]:
+        raise ValueError("the study's test split is not the run's")
+    return study.labels(test)
 
 
 def segment_metrics(result: RunResult, study: StudyTable) -> list[dict]:
@@ -263,9 +255,7 @@ def segment_metrics(result: RunResult, study: StudyTable) -> list[dict]:
     AUROC is undefined for a segment whose subjects all share one class:
     its ``auroc`` is None and ``auroc_undefined`` says why.
     """
-    by_id = {s.id: s for s in study.subjects}
-    labels = np.asarray([by_id[sid].label for sid in result.ids["test"]],
-                        dtype=np.int64)
+    labels = _test_labels(result, study)
     scores = result.fused_scores["test"]
     segments = np.asarray([seg if seg is not None else 0
                            for seg in result.segments])
@@ -293,15 +283,12 @@ def segment_metrics(result: RunResult, study: StudyTable) -> list[dict]:
 
 def stage_evaluate(result: RunResult, study: StudyTable) -> tuple:
     """(EvalReport on all test subjects, per-segment metric rows)."""
-    by_id = {s.id: s for s in study.subjects}
-    labels = np.asarray([by_id[sid].label for sid in result.ids["test"]],
-                        dtype=np.int64)
     # fitted on held-out scores: overfit branches make the training fused
     # scores near-separable, which drives the squash to 0/1 risks
     squash = metrics.fit_score_squash(result.fused_scores["validation"],
                                       result.validation_labels)
-    report = metrics.evaluate(result.fused_scores["test"], labels,
-                              squash=squash)
+    report = metrics.evaluate(result.fused_scores["test"],
+                              _test_labels(result, study), squash=squash)
     return report, segment_metrics(result, study)
 
 

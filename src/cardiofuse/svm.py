@@ -15,8 +15,6 @@ import numpy as np
 
 from .metrics import auroc
 
-DEFAULT_C_GRID = (0.001, 0.01, 0.1, 1.0)
-DEFAULT_FOLDS = 10
 KKT_TOL = 1e-3  # stop once the maximal KKT violation falls below this
 _TAU = 1e-12    # curvature floor for a pair of identical rows
 
@@ -183,9 +181,8 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     return [np.flatnonzero(assignment == k) for k in range(folds)]
 
 
-def grid_search_cv(features: np.ndarray, labels, grid=DEFAULT_C_GRID,
-                   folds: int = DEFAULT_FOLDS, seed: int = 0,
-                   epochs: int = 300) -> CvGridResult:
+def grid_search_cv(features: np.ndarray, labels, grid, folds: int,
+                   epochs: int, seed: int = 0) -> CvGridResult:
     """Mean validation AUROC per C over stratified folds; best (smallest) C.
 
     Standardization happens inside each fold's training portion only

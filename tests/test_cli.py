@@ -1,5 +1,7 @@
 """CLI and pipeline-orchestration tests on a miniature synthetic study."""
 
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cardiofuse import cli, pipeline
+from cardiofuse import cli, gat, mpca, pipeline, svm
+from cardiofuse.data import StudyTable, Subject
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -104,6 +107,37 @@ class TestConfig:
             pipeline.load_config(
                 overrides={"fusion": {"late_weights": [1.0, 1.0]}})
 
+    def test_object_for_plain_value_names_dotted_path(self):
+        with pytest.raises(ValueError, match="overrides: config key 'seed' "
+                                             "must be a plain value"):
+            pipeline.load_config(overrides={"seed": {"a": 1}})
+        with pytest.raises(ValueError, match="'svm.epochs' must be a plain"):
+            pipeline.load_config(overrides={"svm": {"epochs": {"x": 2}}})
+        with pytest.raises(ValueError, match="'svm.fixed_c' must be a plain"):
+            pipeline.load_config(overrides={"svm": {"fixed_c": {}}})
+
+    def test_load_config_returns_a_copy(self):
+        before = json.dumps(pipeline.DEFAULT_CONFIG, sort_keys=True)
+        pipeline.load_config()["stages"]["generate"] = True
+        pipeline.load_config(overrides={})["svm"]["grid"].append(10.0)
+        assert json.dumps(pipeline.DEFAULT_CONFIG, sort_keys=True) == before
+
+    def test_library_defaults_equal_default_config(self):
+        """The defaults a library call without the argument runs on are
+        DEFAULT_CONFIG's values."""
+        defaults = pipeline.DEFAULT_CONFIG
+        gat_cfg = dataclasses.asdict(gat.GatConfig())
+        for key, value in defaults["gat"].items():
+            if key not in ("target_degree", "theta"):
+                assert (list(gat_cfg[key]) if key == "hidden_dims"
+                        else gat_cfg[key]) == value, key
+        fit = inspect.signature(mpca.fit).parameters
+        assert fit["variance_fraction"].default == (
+            defaults["mpca"]["variance_fraction"])
+        assert fit["max_iters"].default == defaults["mpca"]["iters"]
+        train = inspect.signature(svm.train_linear).parameters
+        assert train["epochs"].default == defaults["svm"]["epochs"]
+
     def test_synthetic_keys_are_spec_fields(self):
         cfg = pipeline.load_config(overrides={
             "synthetic": {"n_subjects": 50, "informative_fraction": {"ehr": 1}}})
@@ -147,6 +181,10 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         for path in manifest["artifacts"].values():
             assert Path(path).exists()
+        # the run's own record of its config repeats the run
+        reloaded = pipeline.load_config(overrides=manifest["config"])
+        assert json.dumps(reloaded, sort_keys=True) == json.dumps(
+            manifest["config"], sort_keys=True)
 
     def test_manifest_records_gat_convergence(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -301,8 +339,8 @@ class TestRunCommand:
 class TestSingleClassSegment:
     def test_segment_auroc_undefined_not_fatal(self):
         from types import SimpleNamespace
-        study = SimpleNamespace(subjects=[
-            SimpleNamespace(id=f"s{i}", label=label)
+        study = StudyTable(subjects=[
+            Subject(id=f"s{i}", label=label, split="test")
             for i, label in enumerate([0, 1, 1, 1])])
         result = SimpleNamespace(ids={"test": ["s0", "s1", "s2", "s3"]},
                                  fused_scores={"test": np.array(
@@ -314,6 +352,11 @@ class TestSingleClassSegment:
         assert second["auroc_undefined"] == ("every subject in the segment"
                                              " has label 1")
         assert second["n"] == 2 and second["accuracy"] == 0.5
+        # labels are joined by position, so a study whose test split is not
+        # the run's is rejected
+        study.subjects.reverse()
+        with pytest.raises(ValueError, match="test split is not the run's"):
+            pipeline.segment_metrics(result, study)
 
     def test_run_with_single_class_segments_completes(self, tmp_path,
                                                       capsys):

@@ -203,7 +203,7 @@ class TestCleanTabular:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(10, 4))
         table = make_table(x)
-        report = clean_tabular(table)
+        report = clean_tabular(table, max_missing_fraction=0.05)
         assert report.dropped_columns == []
         assert report.imputed_counts == {}
         np.testing.assert_array_equal(table.tabular_matrix(), x)
@@ -225,7 +225,7 @@ class TestCleanTabular:
             x[i, 0] = np.nan
         splits = ["train"] * 70 + ["test"] * 30
         table = make_table(x.copy(), splits)
-        report = clean_tabular(table)
+        report = clean_tabular(table, max_missing_fraction=0.05)
         assert report.imputed_counts == {"f0": 2}
         # oracle: recompute the training mean externally
         train_vals = [x[i, 0] for i in range(70) if i not in missing_rows]
@@ -238,7 +238,7 @@ class TestCleanTabular:
         x = np.ones((20, 3))
         x[:3, 2] = np.nan
         table = make_table(x)
-        clean_tabular(table)
+        clean_tabular(table, max_missing_fraction=0.05)
         assert len(table.subjects) == 20
 
     def test_fully_missing_train_column_raises(self):
@@ -253,7 +253,7 @@ class TestCleanTabular:
 class TestChronologicalSplit:
     def test_all_train(self):
         table = make_table(np.zeros((8, 2)))
-        chronological_split(table, train_fraction=1.0)
+        chronological_split(table, train_fraction=1.0, test_segments=5)
         assert all(s.split == "train" for s in table.subjects)
 
     def test_ten_subjects_documented_remainder_rule(self):
@@ -284,7 +284,7 @@ class TestChronologicalSplit:
         table = make_table(np.zeros((4, 2)))
         table.subjects[2].order_key = None
         with pytest.raises(ValueError):
-            chronological_split(table, 0.5)
+            chronological_split(table, 0.5, 5)
 
     def test_partition(self):
         table = make_table(np.zeros((23, 2)))

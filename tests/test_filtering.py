@@ -14,6 +14,9 @@ from cardiofuse.filtering import filter_training_samples
 from cardiofuse.metrics import auroc
 from cardiofuse.registration import LandmarkSet
 
+# the pipeline's default; the stale-improvement test sits just below it
+MIN_IMPROVEMENT = 1e-4
+
 TRIANGLE = np.array([[10.0, 8.0], [22.0, 9.0], [16.0, 22.0]])
 
 
@@ -48,17 +51,20 @@ def graded_subjects(n):
 class TestValidation:
     def test_q_below_two_rejected(self):
         with pytest.raises(ValueError):
-            filter_training_samples(uniform_subjects(4), 1, lambda ids: 0.5)
+            filter_training_samples(uniform_subjects(4), 1, lambda ids: 0.5,
+                                    MIN_IMPROVEMENT)
 
     def test_q_exceeding_landmark_count_rejected(self):
         with pytest.raises(ValueError):
-            filter_training_samples(uniform_subjects(2), 13, lambda ids: 0.5)
+            filter_training_samples(uniform_subjects(2), 13, lambda ids: 0.5,
+                                    MIN_IMPROVEMENT)
 
     def test_eval_failure_propagates(self):
         def boom(ids):
             raise RuntimeError("downstream failure")
         with pytest.raises(RuntimeError):
-            filter_training_samples(uniform_subjects(6), 4, boom)
+            filter_training_samples(uniform_subjects(6), 4, boom,
+                                    MIN_IMPROVEMENT)
 
 
 class TestStoppingRule:
@@ -69,7 +75,8 @@ class TestStoppingRule:
             calls.append(len(ids))
             return 0.5  # never improves
 
-        report = filter_training_samples(graded_subjects(10), 5, eval_fn)
+        report = filter_training_samples(graded_subjects(10), 5, eval_fn,
+                                         MIN_IMPROVEMENT)
         # baseline + rho=1 + rho=2, then two consecutive non-improvements stop
         assert len(report.validation_auroc_trace) == 3
         assert report.removed_bins == 0
@@ -85,7 +92,8 @@ class TestStoppingRule:
             counter["i"] += 1
             return score
 
-        report = filter_training_samples(graded_subjects(10), 5, eval_fn)
+        report = filter_training_samples(graded_subjects(10), 5, eval_fn,
+                                         MIN_IMPROVEMENT)
         assert report.removed_bins == 1
         assert report.best_auroc == 0.75
         # with graded uncertainties, bin 5 of 5 covers the last 2 subjects
@@ -97,7 +105,8 @@ class TestStoppingRule:
         def eval_fn(ids):
             return next(scores)
 
-        report = filter_training_samples(graded_subjects(10), 5, eval_fn)
+        report = filter_training_samples(graded_subjects(10), 5, eval_fn,
+                                         MIN_IMPROVEMENT)
         assert report.removed_bins == 0
         assert report.best_auroc == 0.70
 
@@ -107,7 +116,8 @@ class TestStoppingRule:
         def eval_fn(ids):
             return float(next(scores))
 
-        report = filter_training_samples(graded_subjects(12), 4, eval_fn)
+        report = filter_training_samples(graded_subjects(12), 4, eval_fn,
+                                         MIN_IMPROVEMENT)
         assert report.removed_bins <= 4
 
 
@@ -120,7 +130,7 @@ class TestSubsetSemantics:
             seen.append(sorted(ids))
             return 0.9 - 0.01 * len(seen)  # always stale after baseline
 
-        filter_training_samples(subjects, 5, eval_fn)
+        filter_training_samples(subjects, 5, eval_fn, MIN_IMPROVEMENT)
         # first candidate removal retires bin 5 (highest 12 of 60 landmarks):
         # subjects s08, s09 hold those, so the candidate set drops exactly them
         assert seen[0] == [s.id for s in subjects]
@@ -133,7 +143,8 @@ class TestSubsetSemantics:
             candidates.append(set(ids))
             return 0.5 + 0.02 * len(candidates)  # always improves
 
-        filter_training_samples(graded_subjects(12), 6, eval_fn)
+        filter_training_samples(graded_subjects(12), 6, eval_fn,
+                                MIN_IMPROVEMENT)
         for earlier, later in zip(candidates, candidates[1:]):
             assert later <= earlier
 
@@ -144,7 +155,8 @@ class TestSubsetSemantics:
             def eval_fn(ids, runs=runs):
                 return 0.5
 
-            report = filter_training_samples(subjects, 4, eval_fn)
+            report = filter_training_samples(subjects, 4, eval_fn,
+                                             MIN_IMPROVEMENT)
             runs.append(report.validation_auroc_trace)
         assert runs[0] == runs[1]
 
@@ -163,7 +175,7 @@ class TestSubsetSemantics:
         def eval_fn(ids):
             return 0.9 + 0.001 * (30 - len(ids))  # rewards removal forever
 
-        report = filter_training_samples(subjects, 5, eval_fn)
+        report = filter_training_samples(subjects, 5, eval_fn, MIN_IMPROVEMENT)
         kept = {s.id for s in subjects} - set(report.removed_subject_ids)
         labels = {s.label for s in subjects if s.id in kept}
         assert labels == {0, 1}
@@ -172,7 +184,8 @@ class TestSubsetSemantics:
 class TestReport:
     def test_json_fields(self):
         report = filter_training_samples(graded_subjects(10), 5,
-                                         lambda ids: 0.5)
+                                         lambda ids: 0.5,
+                                         MIN_IMPROVEMENT)
         parsed = json.loads(report.to_json())
         assert parsed["Q"] == 5
         assert set(parsed) == {"Q", "removed_bins", "removed_subject_ids",
@@ -210,7 +223,8 @@ class TestEndToEndBenefit:
             clf = svm.train_linear(x[keep], labels, C=1.0, epochs=60)
             return auroc(svm.decision_scores(clf, val_x), val_y)
 
-        report = filter_training_samples(subjects, 10, eval_fn)
+        report = filter_training_samples(subjects, 10, eval_fn,
+                                         MIN_IMPROVEMENT)
         baseline = report.validation_auroc_trace[0][1]
         assert report.removed_bins >= 1
         assert report.best_auroc > baseline

@@ -10,8 +10,8 @@ import pytest
 from cardiofuse import fusion, mpca, pipeline, svm, synthetic
 from cardiofuse.data import (StudyTable, carve_validation,
                              chronological_split, clean_tabular, load_study)
-from cardiofuse.fusion import (FusionPlan, PipelineConfig, early_concat,
-                               fit_late_fusion, late_fuse, run_plan)
+from cardiofuse.fusion import (FusionPlan, early_concat, fit_late_fusion,
+                               late_fuse, run_plan)
 from cardiofuse.metrics import auroc
 from cardiofuse.tensor3 import frobenius_sq
 
@@ -200,11 +200,16 @@ def small_study(tmp_path_factory):
     table = load_study(root)
     chronological_split(table, train_fraction=0.7, test_segments=2)
     carve_validation(table, fraction=0.2, seed=0)
-    clean_tabular(table)
+    clean_tabular(table, max_missing_fraction=0.05)
     return table
 
 
-FAST = PipelineConfig(fixed_c=0.1, svm_epochs=40, kappa=30)
+def merged_config(**overrides) -> fusion.PipelineConfig:
+    """The PipelineConfig of DEFAULT_CONFIG with ``overrides`` merged in."""
+    return pipeline.pipeline_config(pipeline.load_config(overrides=overrides))
+
+
+FAST = merged_config(svm={"fixed_c": 0.1, "epochs": 40}, mpca={"kappa": 30})
 
 
 class TestRunPlan:
@@ -243,7 +248,7 @@ class TestRunPlan:
         """The batched latent concatenation equals ``early_concat`` of each
         subject's two projected tensors, bit for bit."""
         splits = fusion._splits(small_study)
-        config = PipelineConfig(kappa=10 ** 6)  # keep every latent feature
+        config = merged_config(mpca={"kappa": 10 ** 6})  # keep every feature
         x, kappa, models = fusion._imaging_features(
             splits, [SA, FC], "intermediate", config)
 
@@ -265,7 +270,7 @@ class TestRunPlan:
         gives the bytes of stacking each modality's latents and
         concatenating them along mode 3."""
         splits = fusion._splits(small_study)
-        config = PipelineConfig(kappa=10 ** 6)
+        config = merged_config(mpca={"kappa": 10 ** 6})
         x, _, models = fusion._imaging_features(
             splits, [SA, FC], "intermediate", config)
 

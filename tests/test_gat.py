@@ -500,7 +500,7 @@ class TestAblation:
         model, g = self._trained()
         model.trained = False
         with pytest.raises(ValueError):
-            gat.ablation_importance(model, g)
+            gat.ablation_importance(model, g, theta=3)
 
     def test_report_deterministic_and_csv_shape(self):
         model, g = self._trained()

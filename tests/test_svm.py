@@ -16,6 +16,7 @@ from scipy.optimize import minimize
 
 from cardiofuse import svm
 from cardiofuse.metrics import auroc
+from cardiofuse.pipeline import DEFAULT_CONFIG
 
 
 def blobs(n_per_class, gap, seed, d=2):
@@ -305,13 +306,14 @@ class TestCrossValidation:
 
     def test_single_value_grid_chosen(self):
         x, y = blobs(20, 2.0, seed=9)
-        result = svm.grid_search_cv(x, y, grid=[0.05], folds=4)
+        result = svm.grid_search_cv(x, y, grid=[0.05], folds=4, epochs=300)
         assert result.chosen_c == 0.05
         assert len(result.mean_aurocs) == 1
 
     def test_default_grid_records_four_entries(self):
         x, y = blobs(25, 2.0, seed=10)
-        result = svm.grid_search_cv(x, y, folds=10, epochs=50)
+        result = svm.grid_search_cv(x, y, DEFAULT_CONFIG["svm"]["grid"],
+                                    folds=10, epochs=50)
         assert result.grid == [0.001, 0.01, 0.1, 1.0]
         assert len(result.mean_aurocs) == 4
 
