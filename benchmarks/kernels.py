@@ -12,7 +12,9 @@ below, where the ``epochs * m`` step cap binds, as it does in most of that
 workload's EHR fits at C = 1.0), ``svm.grid_search_cv`` (4 C x 10 folds at
 15 epochs, as in that workload, on each of the two CV matrices of a
 default ``cardiofuse run`` at seed 0), ``mpca.fit`` (280 stacks of
-32 x 32 x 8, one refinement pass) and ``tensor3.mode_n_product`` (a
+32 x 32 x 8, and 224 stacks of 48 x 48 x 8, the shape of the benchmark's
+``imaging_hires`` workload; one refinement pass each; the projections and
+the scatter trace are compared) and ``tensor3.mode_n_product`` (a
 32 x 32 x 8 stack by a 30 x 32, 30 x 32 and 8 x 8 matrix along modes 1, 2
 and 3), ``registration.warp_stack`` (a 32 x 32 x 8 and a 48 x 48 x 8 stack
 under a small rotation, scaling and shift, as in ``register_stack``;
@@ -253,10 +255,11 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
             out += [np.array(cv.mean_aurocs), np.array([cv.chosen_c])]
         return out
 
-    def fit():
-        # the scatter trace is summed in another order now (equal to 1e-12
-        # relative, see tests/test_mpca.py), so only projections are compared
-        return mpca.fit(data["stacks"], max_iters=1).projections
+    def fit(stacks):
+        def fn():
+            model = mpca.fit(stacks, max_iters=1)
+            return model.projections + [np.array(model.scatter_trace)]
+        return fn
 
     def products():
         out = []
@@ -304,7 +307,9 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
                  train(*data["capped"], CAPPED_C), 1),
         "svm.grid_search_cv": ("default run's 199x210 and 199x15, 4 C x 10"
                                " folds, 15 epochs", cross_validate, 1),
-        "mpca.fit": ("280 x 32x32x8, max_iters=1", fit, 1),
+        "mpca.fit": ("280 x 32x32x8, max_iters=1", fit(data["stacks"]), 1),
+        "mpca.fit 48x48x8": ("224 x 48x48x8, max_iters=1",
+                             fit(data["hires_stacks"]), 1),
         "tensor3.mode_n_product": ("32x32x8 by 30x32 / 30x32 / 8x8, per call",
                                    products, PRODUCT_CALLS),
         "registration.warp_stack 32x32x8": ("32x32x8, per call", warp(32),

@@ -6,7 +6,10 @@ are flattened in canonical layout and ranked with per-feature Fisher
 scores; only the top ``kappa`` features feed the classifier.  The scatter
 the projections capture is read off the scatter matrices the fit computes
 anyway, as ``trace(U_n^T S_n U_n)``; the samples are never projected
-through all three modes during a fit.
+through all three modes during a fit.  The samples are centred once, in
+one stacked array, and each one's scatter contribution is added in place;
+no projected scatter copies a transposed unfolding
+(``tensor3.projected_unfolding``).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor3 import mode_n_product, mode_n_unfold
+from .tensor3 import mode_n_product, projected_unfolding
 
 DEFAULT_VARIANCE_FRACTION = 0.97
 
@@ -61,18 +64,16 @@ def _top_eigvecs(scatter: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarra
     return vals, _fix_sign(vecs[:, :count])
 
 
-def _mode_scatter(samples: list[np.ndarray], mode: int,
+def _mode_scatter(samples: np.ndarray, mode: int,
                   projections: list[np.ndarray | None]) -> np.ndarray:
     """Mode-``mode`` scatter matrix after projecting along the other modes."""
     scatter = None
     for s in samples:
-        partial = s
-        for other in (1, 2, 3):
-            if other != mode and projections[other - 1] is not None:
-                partial = mode_n_product(partial, projections[other - 1].T, other)
-        unfolded = mode_n_unfold(partial, mode)
-        contrib = unfolded @ unfolded.T
-        scatter = contrib if scatter is None else scatter + contrib
+        unfolded = projected_unfolding(s, projections, mode)
+        if scatter is None:
+            scatter = unfolded @ unfolded.T
+        else:
+            scatter += unfolded @ unfolded.T
     return scatter
 
 
@@ -109,8 +110,9 @@ def fit(samples: list[np.ndarray],
         if s.shape != dims:
             raise ValueError(f"inconsistent sample dims: {s.shape} vs {dims}")
 
-    mean_tensor = np.mean(samples, axis=0)
-    centered = [np.asarray(s, dtype=np.float64) - mean_tensor for s in samples]
+    centered = np.array(samples, dtype=np.float64)
+    mean_tensor = centered.mean(axis=0)
+    centered -= mean_tensor
 
     # Full-projection initialization, one mode at a time.
     projections: list[np.ndarray | None] = [None, None, None]

@@ -77,7 +77,7 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# the keys `synthetic` takes; their values go to SyntheticSpec unchecked
+# the keys `synthetic` takes; SyntheticSpec checks their values
 _SPEC_FIELDS = frozenset(f.name for f in dataclasses.fields(SyntheticSpec))
 
 
@@ -86,7 +86,8 @@ def _merge(cfg: dict, override, source: str, path: str = "") -> dict:
 
     A key ``cfg`` lacks, a section that is not a JSON object, or a JSON
     object where ``cfg`` holds a plain value raises ValueError naming
-    ``source`` and the key's dotted path.
+    ``source`` and the key's dotted path; so does a ``synthetic`` section
+    that ``SyntheticSpec`` rejects.
     """
     if not isinstance(override, dict):
         where = f"config key {path[:-1]!r}" if path else "the config"
@@ -104,6 +105,11 @@ def _merge(cfg: dict, override, source: str, path: str = "") -> dict:
                              f"plain value, not a JSON object")
         else:
             cfg[key] = copy.deepcopy(value)
+    if spec:
+        try:
+            SyntheticSpec(**cfg)
+        except ValueError as exc:
+            raise ValueError(f"{source}: config key synthetic.{exc}") from None
     return cfg
 
 

@@ -56,6 +56,60 @@ class SyntheticSpec:
     clean_uncertainty: tuple[float, float] = (0.1, 0.8)
     corrupt_uncertainty: tuple[float, float] = (3.0, 8.0)
 
+    def __post_init__(self) -> None:
+        """Reject a value the generator cannot use; the message names the
+        field.  Values are checked, never converted."""
+        def require(ok: bool, name: str, what: str) -> None:
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {what}, not {getattr(self, name)!r}")
+
+        require(_is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
+        require(_is_int(self.n_subjects) and self.n_subjects >= 1,
+                "n_subjects", "an integer >= 1")
+        require(isinstance(self.dims, (list, tuple)) and len(self.dims) == 3
+                and all(_is_int(d) and d >= 1 for d in self.dims),
+                "dims", "three integers >= 1")
+        for name in ("prevalence", "train_fraction", "corrupted_fraction",
+                     "missing_cell_fraction"):
+            value = getattr(self, name)
+            require(_is_real(value) and 0 <= value <= 1, name,
+                    "a number in [0, 1]")
+        for name in ("blob_amplitude", "signal_strength", "tabular_effect"):
+            require(_is_real(getattr(self, name)), name, "a finite number")
+        for name in ("image_noise", "tabular_noise", "landmark_jitter",
+                     "corrupt_jitter"):
+            value = getattr(self, name)
+            require(_is_real(value) and value >= 0, name, "a number >= 0")
+        for name in ("n_informative_tabular", "n_noise_tabular",
+                     "heavy_missing_columns"):
+            value = getattr(self, name)
+            require(_is_int(value) and value >= 0, name, "an integer >= 0")
+        for name in ("clean_uncertainty", "corrupt_uncertainty"):
+            value = getattr(self, name)
+            require(isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(_is_real(v) for v in value)
+                    and 0 <= value[0] <= value[1], name,
+                    "a pair [lo, hi] with 0 <= lo <= hi")
+        fractions = self.informative_fraction
+        require(isinstance(fractions, dict)
+                and {SHORT_AXIS, FOUR_CHAMBER} <= set(fractions)
+                <= {SHORT_AXIS, FOUR_CHAMBER, "ehr"}
+                and all(_is_real(f) and 0 <= f <= 1
+                        for f in fractions.values()),
+                "informative_fraction",
+                f"an object giving {SHORT_AXIS!r} and {FOUR_CHAMBER!r} (and "
+                f"optionally 'ehr') a number in [0, 1]")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return ((_is_int(value) or isinstance(value, (float, np.floating)))
+            and bool(np.isfinite(value)))
+
 
 def _template_points(modality: str, dims) -> np.ndarray:
     h, w, _ = dims

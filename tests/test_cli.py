@@ -139,11 +139,29 @@ class TestConfig:
         assert train["epochs"].default == defaults["svm"]["epochs"]
 
     def test_synthetic_keys_are_spec_fields(self):
+        fractions = {"short_axis": 0.5, "four_chamber": 0.5, "ehr": 1}
         cfg = pipeline.load_config(overrides={
-            "synthetic": {"n_subjects": 50, "informative_fraction": {"ehr": 1}}})
+            "synthetic": {"n_subjects": 50, "informative_fraction": fractions}})
         assert cfg["synthetic"]["n_subjects"] == 50
         with pytest.raises(ValueError, match="'synthetic.n_subject'"):
             pipeline.load_config(overrides={"synthetic": {"n_subject": 50}})
+
+    # each was accepted once and then died in the generator (the first with
+    # a bare KeyError) or made a study the pipeline cannot use
+    @pytest.mark.parametrize("synthetic", [
+        {"informative_fraction": {"ehr": 1}}, {"n_subjects": -5},
+        {"prevalence": 1.5}, {"dims": [32, 32]},
+    ])
+    def test_bad_synthetic_value_is_a_bad_config(self, tmp_path, synthetic):
+        (name,) = synthetic
+        with pytest.raises(ValueError, match=f"overrides: config key "
+                                             f"synthetic.{name} must be"):
+            pipeline.load_config(overrides={"synthetic": synthetic})
+        path = write_config(tmp_path, synthetic=synthetic)
+        with pytest.raises(SystemExit, match=f"bad config: .*config.json: "
+                                             f"config key synthetic.{name}"):
+            cli.main(["generate", "--config", str(path)])
+        assert not (tmp_path / "data").exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -309,6 +309,30 @@ class TestCarveValidation:
             s.id for s in table2.by_split("validation"))
 
 
+class TestSyntheticSpecChecks:
+    """``SyntheticSpec`` rejects what the generator cannot use and accepts
+    JSON's lists where it holds tuples."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("informative_fraction", {"ehr": 1}),
+        ("informative_fraction", {"short_axis": 1, "four_chamber": 1, "x": 1}),
+        ("n_subjects", -5), ("n_subjects", 0), ("n_subjects", 50.0),
+        ("n_subjects", True), ("prevalence", 1.5), ("prevalence", float("nan")),
+        ("dims", [32, 32]), ("dims", (32, 0, 8)), ("image_noise", -0.1),
+        ("clean_uncertainty", (0.8, 0.1)), ("n_noise_tabular", -1),
+        ("seed", -1),
+    ])
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            synthetic.SyntheticSpec(**{field: value})
+
+    def test_accepts_defaults_and_json_lists(self):
+        synthetic.SyntheticSpec()
+        synthetic.SyntheticSpec(dims=[48, 48, 8], corrupt_uncertainty=[3, 8],
+                                informative_fraction={"short_axis": 1,
+                                                      "four_chamber": 0.0})
+
+
 class TestSyntheticGenerator:
     def test_same_seed_byte_identical(self, tmp_path):
         spec = synthetic.SyntheticSpec(seed=5, n_subjects=12, dims=(8, 8, 2))
