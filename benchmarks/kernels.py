@@ -22,7 +22,12 @@ the 100 outputs of a sample are all kept until it ends, as a run keeps
 its registered stacks),
 ``mpca.fisher_rank`` (224 x 33,856, the shape of the train latents of the
 benchmark's ``imaging_hires`` workload), ``mpca.transform_flat`` (224
-stacks of 48 x 48 x 8 onto 46 x 46 x 8), ``synthetic.generate_synthetic``
+stacks of 48 x 48 x 8 onto 46 x 46 x 8), ``gat.loss_and_grads`` (one
+epoch's loss and gradients on the graph ``stage_select_features`` builds
+from the default study below, with the default ``GatConfig``, parameters
+from ``init_params`` at a fixed seed and a dropout generator re-seeded
+each call; the loss and every gradient are compared),
+``synthetic.generate_synthetic``
 (a 40-subject study of default-shaped 32 x 32 x 8 stacks, written to a
 temporary directory), ``metrics.fit_score_squash`` (56 seeded scores, the
 size of a default run's validation split) and a cold
@@ -107,7 +112,7 @@ def load_tree(src: Path, alias: str) -> dict:
     spec.loader.exec_module(module)
     return {name: importlib.import_module(f"{alias}.{name}")
             for name in ("svm", "mpca", "tensor3", "registration", "fusion",
-                         "pipeline", "synthetic", "metrics")}
+                         "pipeline", "synthetic", "metrics", "gat")}
 
 
 # the EHR columns the GAT of a default run at seed 0 selects, in rank order
@@ -121,9 +126,10 @@ CV_EHR_COLUMNS = ["informative_3", "informative_0", "noise_26", "informative_1",
 CAPPED_FOLD = 2
 
 
-def cv_matrices(mods: dict) -> dict:
-    """Branch name -> (train features, labels) of a default run at seed 0."""
-    pipeline, fusion = mods["pipeline"], mods["fusion"]
+def default_study(mods: dict) -> tuple:
+    """(study, config) of a default run at seed 0, loaded, registered and
+    uncertainty-filtered as ``cardiofuse run`` does."""
+    pipeline = mods["pipeline"]
     cfg = pipeline.load_config()
     with tempfile.TemporaryDirectory() as tmp:
         cfg["data_dir"] = tmp
@@ -131,6 +137,12 @@ def cv_matrices(mods: dict) -> dict:
         study = pipeline.stage_load(cfg)
     pipeline.stage_preprocess(study)
     pipeline.stage_filtering(study, cfg)
+    return study, cfg
+
+
+def cv_matrices(mods: dict, study, cfg: dict) -> dict:
+    """Branch name -> (train features, labels) of a default run at seed 0."""
+    pipeline, fusion = mods["pipeline"], mods["fusion"]
     config = pipeline.pipeline_config(cfg, CV_EHR_COLUMNS)
     splits = fusion._splits(study)
     labels = study.labels(splits["train"])
@@ -139,6 +151,17 @@ def cv_matrices(mods: dict) -> dict:
     ehr = fusion._ehr_features(splits, study, config)
     return {"imaging": (imaging["train"], labels),
             "ehr": (ehr["train"], labels)}
+
+
+def gat_graph(mods: dict, study, cfg: dict):
+    """The graph ``stage_select_features`` trains the GAT on."""
+    nodes = study.by_split("train", "validation")
+    return mods["gat"].build_graph(
+        study.tabular_matrix(nodes), target_degree=cfg["gat"]["target_degree"],
+        labels=study.labels(nodes),
+        train_mask=np.asarray([s.split == "train" for s in nodes]),
+        val_mask=np.asarray([s.split == "validation" for s in nodes]),
+        feature_names=study.feature_names)
 
 
 def inputs(mods: dict) -> dict:
@@ -156,7 +179,13 @@ def inputs(mods: dict) -> dict:
     hires_basis = rng.normal(size=(48, 48, 8))
     hires = [hires_basis * rng.normal() + 0.5 * rng.normal(size=(48, 48, 8))
              for _ in range(224)]
-    cv = cv_matrices(mods)
+    study, cfg = default_study(mods)
+    cv = cv_matrices(mods, study, cfg)
+    graph = gat_graph(mods, study, cfg)
+    # fixed parameters, from a generator of their own
+    gat_params = mods["gat"].init_params(mods["gat"].GatConfig(),
+                                         graph.n_features,
+                                         np.random.default_rng(GAT_SEED))
     ehr_x, ehr_y = cv["ehr"]
     val = mods["svm"].stratified_folds(ehr_y, 10, seed=0)[CAPPED_FOLD]
     train = np.setdiff1d(np.arange(len(ehr_y)), val)
@@ -173,10 +202,12 @@ def inputs(mods: dict) -> dict:
             "latent_labels": rng.integers(0, 2, 224),
             "hires_stacks": hires, "cv": cv,
             "capped": (ehr_x[train], ehr_y[train]),
+            "graph": graph, "gat_params": gat_params,
             "squash": (squash_scores, squash_labels)}
 
 
 SQUASH_N = 56  # scores of the metrics.fit_score_squash kernel
+GAT_SEED = 2  # seeds the loss_and_grads parameters; the dropout RNG is +1
 GENERATED_SUBJECTS = 40  # subjects of the synthetic.generate_synthetic kernel
 SVM_C = 0.1  # the C of the svm.train_linear kernel
 CAPPED_C = 1.0  # the C of the cap-bound svm.train_linear kernel
@@ -228,6 +259,7 @@ COMPARED = {"metrics.fit_score_squash": squash_curve}
 
 PRODUCT_CALLS = 300  # mode products per sample: one call is ~10 us
 WARP_CALLS = 100  # warps per sample: one call is ~0.5 ms
+GAT_CALLS = 10  # GAT epochs per sample: one call is ~10 ms
 
 
 def kernels(src: Path, mods: dict, data: dict) -> dict:
@@ -277,6 +309,15 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
                     for _ in range(WARP_CALLS)]
         return fn
 
+    def epoch():
+        # each call draws the same dropout masks from a fresh generator
+        config = mods["gat"].GatConfig()
+        for _ in range(GAT_CALLS):
+            loss, grads = mods["gat"].loss_and_grads(
+                data["gat_params"], config, data["graph"],
+                dropout_rng=np.random.default_rng(GAT_SEED + 1))
+        return [np.array([loss])] + [grads[name] for name in sorted(grads)]
+
     def rank():
         return list(mpca.fisher_rank(data["latents"], data["latent_labels"]))
 
@@ -316,6 +357,8 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
                                             WARP_CALLS),
         "registration.warp_stack 48x48x8": ("48x48x8, per call", warp(48),
                                             WARP_CALLS),
+        "gat.loss_and_grads": ("seed-0 default graph, default GatConfig,"
+                               " per call", epoch, GAT_CALLS),
         "mpca.fisher_rank": ("224 x 33,856", rank, 1),
         "mpca.transform_flat": ("224 x 48x48x8 onto 46x46x8",
                                 project, 1),

@@ -260,7 +260,7 @@ def clean_tabular(table: StudyTable,
         # all-NaN training columns produce a NaN mean here; they are either
         # dropped by the threshold or rejected explicitly below
         warnings.simplefilter("ignore", RuntimeWarning)
-        means = np.nanmean(np.where(np.isnan(x_train), np.nan, x_train), axis=0)
+        means = np.nanmean(x_train, axis=0)
     for j, name in enumerate(table.feature_names):
         if not keep[j]:
             continue

@@ -52,7 +52,8 @@ def filter_training_samples(train_subjects, Q: int, eval_fn,
 
     ``eval_fn`` receives the list of candidate training subject ids and
     returns a validation AUROC.  Ties in uncertainty break on
-    (uncertainty, subject_id, landmark_id) so runs are deterministic.
+    (uncertainty, subject_id, modality, landmark_id) so runs are
+    deterministic.
     """
     if Q < 2:
         raise ValueError("Q must be at least 2")
@@ -63,27 +64,22 @@ def filter_training_samples(train_subjects, Q: int, eval_fn,
     if Q > len(entries):
         raise ValueError(f"Q={Q} exceeds the {len(entries)} pooled landmarks")
 
-    # ascending uncertainty; bin Q-1 is the most uncertain
-    bin_of: dict[tuple[str, str, int], int] = {}
+    # ascending uncertainty; bin Q-1 is the most uncertain.  A subject goes
+    # once its worst bin is retired; with no landmarks (-1) it never does
+    all_ids = [s.id for s in subjects]
+    worst = dict.fromkeys(all_ids, -1)
     for b, chunk in enumerate(np.array_split(np.arange(len(entries)), Q)):
         for i in chunk:
-            u, sid, modality, j = entries[i]
-            bin_of[(sid, modality, j)] = b
+            sid = entries[i][1]
+            worst[sid] = max(worst[sid], b)
 
-    all_ids = [s.id for s in subjects]
     baseline = float(eval_fn(all_ids))
     trace = [(0, baseline)]
     best_auroc, best_rho, best_removed = baseline, 0, []
 
     stale = 0
     for rho in range(1, Q + 1):
-        retired = set(range(Q - rho, Q))
-        removed = [
-            s.id for s in subjects
-            if any(bin_of[(s.id, m, j)] in retired
-                   for m, lm in sorted(s.landmarks.items())
-                   for j in range(len(lm.uncertainties)))
-        ]
+        removed = [sid for sid in all_ids if worst[sid] >= Q - rho]
         removed_set = set(removed)
         kept = [sid for sid in all_ids if sid not in removed_set]
         kept_labels = {s.label for s in subjects if s.id not in removed_set}

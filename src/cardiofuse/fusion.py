@@ -7,8 +7,9 @@
 - hybrid: early or intermediate on the imaging pair, then late with the
   tabular branch.
 
-``run_plan`` executes the full DAG.  ``fit_branch`` fits each branch (MPCA,
-Fisher ranking, classifier) on the train split only; the one combiner,
+``run_plan`` executes the full DAG with the settings of a
+``PipelineConfig``.  ``fit_branch`` fits each branch (MPCA, Fisher
+ranking, classifier) on the train split only; the one combiner,
 each branch's scale and weight, is fitted on the branches' held-out
 validation scores (``fit_late_fusion``).  Test labels are never read;
 callers join returned test scores with labels at metric time.
@@ -51,15 +52,16 @@ class FusionPlan:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The settings ``run_plan`` trains with; ``pipeline.pipeline_config``
-    builds it from a config's ``mpca``, ``svm`` and ``seed`` entries."""
+    """The settings ``run_plan`` trains with: the keys of a config's
+    ``mpca`` and ``svm`` sections under their own names, and its ``seed``
+    (``pipeline.pipeline_config`` unpacks them)."""
     kappa: int
     variance_fraction: float
-    mpca_iters: int
-    c_grid: list[float]
+    iters: int
+    grid: list[float]
+    folds: int
+    epochs: int
     fixed_c: float | None
-    cv_folds: int
-    svm_epochs: int
     seed: int
     ehr_features: list[str] | None  # names selected upstream (GAT)
 
@@ -192,14 +194,11 @@ def _imaging_features(splits, modalities: list[str], mode: str,
     tag, the feature count, and the fitted MPCA models.
     """
     def gather(subjects):
-        out = []
         for s in subjects:
-            ts = [s.tensors[m] for m in modalities]
             for m in modalities:
                 if m not in s.tensors:
                     raise ValueError(f"subject {s.id}: missing modality {m}")
-            out.append(ts)
-        return out
+        return [[s.tensors[m] for m in modalities] for s in subjects]
 
     train_stacks = gather(splits["train"])
     y_train = np.asarray([s.label for s in splits["train"]], dtype=np.int64)
@@ -212,7 +211,7 @@ def _imaging_features(splits, modalities: list[str], mode: str,
             return t
         train_tensors = [compose(ts) for ts in train_stacks]
         model = mpca.fit(train_tensors, variance_fraction=config.variance_fraction,
-                         max_iters=config.mpca_iters)
+                         max_iters=config.iters)
         models = [model]
         def project(stacks):
             return mpca.transform_flat(model, [compose(ts) for ts in stacks])
@@ -230,7 +229,7 @@ def _imaging_features(splits, modalities: list[str], mode: str,
         )
         models = [
             mpca.fit(tensors, variance_fraction=config.variance_fraction,
-                     max_iters=config.mpca_iters, target_dims=shared)
+                     max_iters=config.iters, target_dims=shared)
             for tensors in per_mod
         ]
         def project(stacks):
@@ -310,11 +309,11 @@ def fit_branch(name: str, modalities: list[str], mode: str,
     if config.fixed_c is not None:
         chosen_c = config.fixed_c
     else:
-        cv = grid_search_cv(x_train, y_train, grid=config.c_grid,
-                            folds=config.cv_folds, seed=config.seed,
-                            epochs=config.svm_epochs)
+        cv = grid_search_cv(x_train, y_train, grid=config.grid,
+                            folds=config.folds, seed=config.seed,
+                            epochs=config.epochs)
         chosen_c = cv.chosen_c
-    clf = train_linear(x_train, y_train, C=chosen_c, epochs=config.svm_epochs)
+    clf = train_linear(x_train, y_train, C=chosen_c, epochs=config.epochs)
     scores = {tag: decision_scores(clf, x[tag]) for tag in splits}
     return BranchResult(name=name, chosen_c=float(chosen_c), kappa=kappa,
                         scores=scores, classifier=clf, cv=cv,
@@ -323,16 +322,16 @@ def fit_branch(name: str, modalities: list[str], mode: str,
 
 def run_plan(plan: FusionPlan, study: StudyTable,
              config: PipelineConfig) -> RunResult:
-    """Train every branch of the plan and emit fused decision scores."""
+    """Train every branch of the plan and emit fused decision scores.
+
+    A subject without a stack of the plan raises ValueError naming it.
+    """
     splits = _splits(study)
     if not splits["train"]:
         raise ValueError("study has no train split")
-    for m in plan.modalities:
-        if m == EHR:
-            if any(s.tabular is None for s in study.subjects):
-                raise ValueError("plan needs tabular data for every subject")
-        elif any(m not in s.tensors for s in splits["train"] + splits["test"]):
-            raise ValueError(f"plan references missing modality {m!r}")
+    if EHR in plan.modalities and any(s.tabular is None
+                                      for s in study.subjects):
+        raise ValueError("plan needs tabular data for every subject")
 
     branches = [fit_branch(name, modalities, mode, splits, study, config)
                 for name, modalities, mode in _branch_specs(plan)]

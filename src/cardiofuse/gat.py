@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import svm
 from .metrics import auroc
 
 
@@ -98,23 +99,15 @@ class FeatureImportanceReport:
         return "\n".join(lines) + "\n"
 
 
-def standardize_features(features: np.ndarray,
-                         fit_mask: np.ndarray | None = None
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-mean / unit-variance columns using ``fit_mask`` row statistics."""
-    x = np.asarray(features, dtype=np.float64)
-    rows = x if fit_mask is None else x[np.asarray(fit_mask, dtype=bool)]
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return (x - mean) / std, mean, std
-
-
 def build_graph(features: np.ndarray, target_degree: int, labels=None,
                 train_mask=None, val_mask=None,
                 feature_names: list[str] | None = None,
                 standardize: bool = True) -> SubjectGraph:
-    """Cosine-similarity graph with threshold tuned to the target degree."""
+    """Cosine-similarity graph with threshold tuned to the target degree.
+
+    ``standardize`` puts the features through ``svm.standardize`` first,
+    fitted on the ``train_mask`` rows (all rows if none is set).
+    """
     x = np.asarray(features, dtype=np.float64)
     v = x.shape[0]
     if v < 2:
@@ -125,7 +118,7 @@ def build_graph(features: np.ndarray, target_degree: int, labels=None,
                   else np.asarray(train_mask, dtype=bool))
     if standardize:
         fit = train_mask if train_mask.any() else None
-        x, _, _ = standardize_features(x, fit)
+        x, _, _ = svm.standardize(x, fit)
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("all-zero feature row: cosine similarity undefined")
@@ -349,7 +342,6 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
     if not np.isfinite(loss):
         raise RuntimeError(f"non-finite training loss: {loss}")
 
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
     v = g.n_nodes
     idx = np.flatnonzero(g.train_mask)
     z = logits[idx] - logits[idx].max(axis=1, keepdims=True)
@@ -361,8 +353,7 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
     d_logits /= len(idx)
 
     h_last = cache["last"]
-    grads["dec.W"] = d_logits.T @ h_last
-    grads["dec.b"] = d_logits.sum(axis=0)
+    grads = {"dec.W": d_logits.T @ h_last, "dec.b": d_logits.sum(axis=0)}
     d_h = d_logits @ params["dec.W"]
 
     starts = edges.indptr[:-1]
@@ -391,11 +382,11 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
             d_d = np.bincount(edges.src, weights=d_g, minlength=v)
             d_c = float(d_g @ edges.weight)
             d_z += d_s[:, None] * a_s[None, :] + d_d[:, None] * a_d[None, :]
-            grads[p + "a_s"] += z_k.T @ d_s
-            grads[p + "a_d"] += z_k.T @ d_d
-            grads[p + "a_e"] += d_c * w_e
-            grads[p + "w_e"] += d_c * a_e
-            grads[p + "W"] += d_z.T @ h_in
+            grads[p + "a_s"] = z_k.T @ d_s
+            grads[p + "a_d"] = z_k.T @ d_d
+            grads[p + "a_e"] = d_c * w_e
+            grads[p + "w_e"] = d_c * a_e
+            grads[p + "W"] = d_z.T @ h_in
             d_h += d_z @ w
     return loss, grads
 

@@ -219,21 +219,24 @@ class EvalReport:
         return json.dumps(d, sort_keys=True, indent=2)
 
 
+def operating_point(scores, labels) -> tuple:
+    """(accuracy, MCC, confusion) of the prediction ``score > 0``, the one
+    place a decision score becomes a class."""
+    preds = (np.asarray(scores, dtype=np.float64) > 0).astype(np.int64)
+    conf = confusion(preds, labels)
+    return accuracy(preds, labels), mcc(conf), conf
+
+
 def evaluate(scores, labels, squash: tuple[float, float]) -> EvalReport:
-    """Full report from decision scores; prediction is score > 0.  The
-    decision curve's ``squash`` must be fitted on held-out scores."""
+    """Full report from decision scores: AUROC, the ``operating_point``
+    metrics and the decision curve, whose ``squash`` must be fitted on
+    held-out scores."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    preds = (scores > 0).astype(np.int64)
-    conf = confusion(preds, labels)
-    curve = dca(squash_scores(scores, squash), labels)
-    return EvalReport(
-        auroc=auroc(scores, labels),
-        accuracy=accuracy(preds, labels),
-        mcc=mcc(conf),
-        confusion=conf,
-        dca_curve=curve,
-    )
+    acc, phi, conf = operating_point(scores, labels)
+    return EvalReport(auroc=auroc(scores, labels), accuracy=acc, mcc=phi,
+                      confusion=conf,
+                      dca_curve=dca(squash_scores(scores, squash), labels))
 
 
 def dca_curve_csv(curve) -> str:

@@ -55,12 +55,16 @@ def _fix_sign(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _top_eigvecs(scatter: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and sign-fixed top-``count`` eigenvectors."""
+def _eigh_descending(scatter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and their eigenvectors, unsigned."""
     vals, vecs = np.linalg.eigh(scatter)
     order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    return vals[order], vecs[:, order]
+
+
+def _top_eigvecs(scatter: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and sign-fixed top-``count`` eigenvectors."""
+    vals, vecs = _eigh_descending(scatter)
     return vals, _fix_sign(vecs[:, :count])
 
 
@@ -117,8 +121,8 @@ def fit(samples: list[np.ndarray],
     # Full-projection initialization, one mode at a time.
     projections: list[np.ndarray | None] = [None, None, None]
     for n in (1, 2, 3):
-        scatter = _mode_scatter(centered, n, [None, None, None])
-        vals, _ = _top_eigvecs(scatter, dims[n - 1])
+        vals, vecs = _eigh_descending(
+            _mode_scatter(centered, n, [None, None, None]))
         if target_dims is not None:
             j_n = int(target_dims[n - 1])
             if not 1 <= j_n <= dims[n - 1]:
@@ -131,8 +135,7 @@ def fit(samples: list[np.ndarray],
             else:
                 j_n = int(np.searchsorted(mass, variance_fraction * total) + 1)
                 j_n = min(j_n, dims[n - 1])
-        _, vecs = _top_eigvecs(scatter, j_n)
-        projections[n - 1] = vecs
+        projections[n - 1] = _fix_sign(vecs[:, :j_n])
 
     scatter = _mode_scatter(centered, 1, projections)
     trace = [_captured(scatter, projections[0])]

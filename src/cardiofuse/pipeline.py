@@ -8,6 +8,8 @@ and the one place a pipeline default is written: ``load_config`` rejects
 a key it lacks, the typed configs (``PipelineConfig``, ``GatConfig``,
 ``FusionPlan``, ``SyntheticSpec``) are built from its sections, and the
 library functions it feeds take these values as arguments.
+``PipelineConfig``'s fields are the ``mpca`` and ``svm`` keys themselves,
+so ``pipeline_config`` unpacks both sections as they are.
 """
 
 from __future__ import annotations
@@ -124,17 +126,10 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 
 
 def pipeline_config(cfg: dict, ehr_features=None) -> PipelineConfig:
-    return PipelineConfig(
-        kappa=cfg["mpca"]["kappa"],
-        variance_fraction=cfg["mpca"]["variance_fraction"],
-        mpca_iters=cfg["mpca"]["iters"],
-        c_grid=cfg["svm"]["grid"],
-        fixed_c=cfg["svm"]["fixed_c"],
-        cv_folds=cfg["svm"]["folds"],
-        svm_epochs=cfg["svm"]["epochs"],
-        seed=cfg["seed"],
-        ehr_features=ehr_features,
-    )
+    """The config's ``mpca`` and ``svm`` sections, seed and the EHR
+    columns selected upstream, as ``PipelineConfig`` fields."""
+    return PipelineConfig(**cfg["mpca"], **cfg["svm"], seed=cfg["seed"],
+                          ehr_features=ehr_features)
 
 
 def stage_generate(cfg: dict, out_dir) -> dict:
@@ -195,7 +190,7 @@ def make_filter_eval(study: StudyTable, cfg: dict):
     y_val = study.labels(val)
     by_id = {s.id: s for s in study.subjects}
     config = dataclasses.replace(pipeline_config(cfg), fixed_c=fcfg["eval_c"],
-                                 svm_epochs=fcfg["eval_epochs"])
+                                 epochs=fcfg["eval_epochs"])
 
     def eval_fn(candidate_ids):
         splits = {"train": [by_id[sid] for sid in candidate_ids],
@@ -256,27 +251,25 @@ def _test_labels(result: RunResult, study: StudyTable) -> np.ndarray:
 
 
 def segment_metrics(result: RunResult, study: StudyTable) -> list[dict]:
-    """Per-test-segment AUROC / accuracy / MCC of the fused scores.
+    """Per-test-segment AUROC and ``metrics.operating_point`` accuracy and
+    MCC of the fused scores.
 
     AUROC is undefined for a segment whose subjects all share one class:
     its ``auroc`` is None and ``auroc_undefined`` says why.
     """
-    labels = _test_labels(result, study)
+    return _segment_rows(result, _test_labels(result, study))
+
+
+def _segment_rows(result: RunResult, labels: np.ndarray) -> list[dict]:
     scores = result.fused_scores["test"]
     segments = np.asarray([seg if seg is not None else 0
                            for seg in result.segments])
     rows = []
     for seg in sorted(set(segments.tolist())):
         idx = segments == seg
-        preds = (scores[idx] > 0).astype(np.int64)
-        conf = metrics.confusion(preds, labels[idx])
-        row = {
-            "segment": int(seg),
-            "n": int(idx.sum()),
-            "auroc": None,
-            "accuracy": metrics.accuracy(preds, labels[idx]),
-            "mcc": metrics.mcc(conf),
-        }
+        acc, phi, _ = metrics.operating_point(scores[idx], labels[idx])
+        row = {"segment": int(seg), "n": int(idx.sum()), "auroc": None,
+               "accuracy": acc, "mcc": phi}
         classes = np.unique(labels[idx])
         if len(classes) == 2:
             row["auroc"] = metrics.auroc(scores[idx], labels[idx])
@@ -293,9 +286,10 @@ def stage_evaluate(result: RunResult, study: StudyTable) -> tuple:
     # scores near-separable, which drives the squash to 0/1 risks
     squash = metrics.fit_score_squash(result.fused_scores["validation"],
                                       result.validation_labels)
-    report = metrics.evaluate(result.fused_scores["test"],
-                              _test_labels(result, study), squash=squash)
-    return report, segment_metrics(result, study)
+    labels = _test_labels(result, study)
+    report = metrics.evaluate(result.fused_scores["test"], labels,
+                              squash=squash)
+    return report, _segment_rows(result, labels)
 
 
 def dca_svg(curve) -> str:

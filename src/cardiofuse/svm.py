@@ -4,7 +4,8 @@ Objective: 0.5*||w||^2 + C * sum_i max(0, 1 - y_i (w.x_i + b)) with
 y in {-1, +1} and the bias b unregularized, solved exactly on its dual by
 SMO with second-order working-set selection (Platt 1998; Fan, Chen & Lin,
 JMLR 2005).  The solver is deterministic.  Features are standardized
-internally so every fusion branch gets identical treatment.
+internally, by ``standardize``, so every fusion branch gets identical
+treatment; the GAT's subject graph is built on the same standardizer.
 """
 
 from __future__ import annotations
@@ -37,11 +38,17 @@ class CvGridResult:
     chosen_c: float
 
 
-def _standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+def standardize(features: np.ndarray, fit_mask: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, mean, std)``: zero-mean / unit-variance columns from the
+    statistics of the ``fit_mask`` rows (all rows if None); a column whose
+    std is below 1e-12 keeps std 1."""
+    x = np.asarray(features, dtype=np.float64)
+    rows = x if fit_mask is None else x[np.asarray(fit_mask, dtype=bool)]
+    mean = rows.mean(axis=0)
+    std = rows.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
-    return mean, std
+    return (x - mean) / std, mean, std
 
 
 def hinge_objective(w: np.ndarray, b: float, x: np.ndarray, y_pm: np.ndarray,
@@ -94,8 +101,7 @@ def train_linear(features: np.ndarray, labels, C: float = 1.0,
         raise ValueError(
             f"epochs must be a non-negative integer, not {epochs!r}")
 
-    mean, std = _standardize_fit(x_raw)
-    x = (x_raw - mean) / std
+    x, mean, std = standardize(x_raw)
     y_pm = np.where(y == 1, 1.0, -1.0)
     m = len(y_pm)
 

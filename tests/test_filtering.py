@@ -8,9 +8,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cardiofuse.data import Subject
-from cardiofuse.filtering import filter_training_samples
+from cardiofuse.filtering import (PATIENCE, _pooled_landmarks,
+                                  filter_training_samples)
 from cardiofuse.metrics import auroc
 from cardiofuse.registration import LandmarkSet
 
@@ -179,6 +182,97 @@ class TestSubsetSemantics:
         kept = {s.id for s in subjects} - set(report.removed_subject_ids)
         labels = {s.label for s in subjects if s.id in kept}
         assert labels == {0, 1}
+
+
+def rescan_filter(subjects, Q, eval_fn, min_improvement):
+    """The filtering loop as it was written before each subject's worst bin
+    was computed once: every round rescans every landmark for one in the
+    retired bins.  (removed_subject_ids, validation_auroc_trace)."""
+    entries = sorted(_pooled_landmarks(subjects))
+    bin_of = {}
+    for b, chunk in enumerate(np.array_split(np.arange(len(entries)), Q)):
+        for i in chunk:
+            u, sid, modality, j = entries[i]
+            bin_of[(sid, modality, j)] = b
+    all_ids = [s.id for s in subjects]
+    baseline = float(eval_fn(all_ids))
+    trace = [(0, baseline)]
+    best_auroc, best_removed, stale = baseline, [], 0
+    for rho in range(1, Q + 1):
+        retired = set(range(Q - rho, Q))
+        removed = [
+            s.id for s in subjects
+            if any(bin_of[(s.id, m, j)] in retired
+                   for m, lm in sorted(s.landmarks.items())
+                   for j in range(len(lm.uncertainties)))
+        ]
+        kept = [sid for sid in all_ids if sid not in set(removed)]
+        if not kept or len({s.label for s in subjects
+                            if s.id in set(kept)}) < 2:
+            break
+        score = float(eval_fn(kept))
+        trace.append((rho, score))
+        if score > best_auroc + min_improvement:
+            best_auroc, best_removed, stale = score, removed, 0
+        else:
+            stale += 1
+            if stale >= PATIENCE:
+                break
+    return best_removed, trace
+
+
+Q_MAX = 10
+# few distinct values, so bins split tied uncertainties
+UNCERTAINTY = st.sampled_from([0.1, 0.2, 0.2, 0.5, 0.9])
+MODALITY_SETS = st.sampled_from([("short_axis",), ("four_chamber",),
+                                 ("short_axis", "four_chamber")])
+
+
+@st.composite
+def drawn_study(draw):
+    """Subjects with one or both modalities, two without landmarks, a Q
+    and the scores a scripted eval returns call by call."""
+    n = draw(st.integers(2, 8))
+    subjects = [
+        subject(f"s{i}", {m: draw(st.lists(UNCERTAINTY, min_size=3,
+                                           max_size=3))
+                          for m in draw(MODALITY_SETS)},
+                label=draw(st.integers(0, 1)))
+        for i in range(n)
+    ]
+    # once every bin is retired only these two, one of each class, are left
+    for label in (0, 1):
+        subjects.insert(draw(st.integers(0, len(subjects))),
+                        Subject(id=f"bare{label}", label=label))
+    q = draw(st.integers(2, Q_MAX))
+    scores = draw(st.lists(st.sampled_from([0.5, 0.6, 0.6, 0.7, 0.9]),
+                           min_size=Q_MAX + 1, max_size=Q_MAX + 1))
+    return subjects, q, scores
+
+
+class TestWorstBinRule:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_study())
+    def test_equals_the_per_round_rescan(self, drawn):
+        subjects, q, scores = drawn
+        assume(q <= 3 * sum(len(s.landmarks) for s in subjects))
+
+        def scripted():
+            calls = []
+
+            def eval_fn(ids):
+                calls.append(list(ids))
+                return scores[len(calls) - 1]
+            return eval_fn, calls
+
+        ours, our_calls = scripted()
+        theirs, their_calls = scripted()
+        report = filter_training_samples(subjects, q, ours, MIN_IMPROVEMENT)
+        removed, trace = rescan_filter(subjects, q, theirs, MIN_IMPROVEMENT)
+        assert report.removed_subject_ids == removed
+        assert report.validation_auroc_trace == trace
+        assert our_calls == their_calls
+        assert all({"bare0", "bare1"} <= set(ids) for ids in our_calls)
 
 
 class TestReport:

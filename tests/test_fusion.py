@@ -209,6 +209,31 @@ def merged_config(**overrides) -> fusion.PipelineConfig:
     return pipeline.pipeline_config(pipeline.load_config(overrides=overrides))
 
 
+def test_pipeline_config_fields_are_the_mpca_and_svm_keys():
+    """Each ``mpca`` and ``svm`` key is the ``PipelineConfig`` field of the
+    same name: a key added to either section without a field is a
+    TypeError in ``pipeline_config``, not a silently dropped setting."""
+    defaults = pipeline.DEFAULT_CONFIG
+    fields = {f.name for f in dataclasses.fields(fusion.PipelineConfig)}
+    assert fields == {*defaults["mpca"], *defaults["svm"], "seed",
+                      "ehr_features"}
+    cfg = pipeline.load_config()
+    cfg["svm"]["tolerance"] = 1e-3
+    with pytest.raises(TypeError, match="tolerance"):
+        pipeline.pipeline_config(cfg)
+
+
+def without_modality(study, split, modality):
+    """A copy of ``study`` whose first ``split`` subject has no
+    ``modality`` stack, and that subject's id."""
+    subjects = [dataclasses.replace(s, tensors=dict(s.tensors))
+                for s in study.subjects]
+    target = next(s for s in subjects if s.split == split)
+    del target.tensors[modality]
+    return (StudyTable(subjects=subjects,
+                       feature_names=list(study.feature_names)), target.id)
+
+
 FAST = merged_config(svm={"fixed_c": 0.1, "epochs": 40}, mpca={"kappa": 30})
 
 
@@ -238,6 +263,12 @@ class TestRunPlan:
         )
         with pytest.raises(ValueError):
             run_plan(FusionPlan("early", [SA, FC]), study, FAST)
+
+    def test_missing_modality_names_the_subject(self, small_study):
+        study, sid = without_modality(small_study, "validation", FC)
+        with pytest.raises(ValueError,
+                           match=f"subject {sid}: missing modality {FC}"):
+            run_plan(FusionPlan("intermediate", [SA, FC]), study, FAST)
 
     def test_intermediate_latent_dims_shared(self, small_study):
         result = run_plan(FusionPlan("intermediate", [SA, FC]), small_study,
@@ -297,7 +328,7 @@ class TestRunPlan:
     def test_manifest_says_whether_the_step_cap_bound(self, small_study):
         plan = FusionPlan("early", [SA])
         for epochs, bound in ((40, False), (0, True)):
-            config = dataclasses.replace(FAST, svm_epochs=epochs)
+            config = dataclasses.replace(FAST, epochs=epochs)
             (entry,) = run_plan(plan, small_study, config).manifest()["branches"]
             assert entry["svm_step_cap_bound"] is bound
             assert (entry["svm_kkt_gap"] >= svm.KKT_TOL) is bound
@@ -387,3 +418,12 @@ def test_filter_eval_is_the_unimodal_branch_bit_for_bit(small_study, modality,
     for ids in subsets:
         assert ours(ids) == oracle(ids)
 
+
+def test_filter_eval_names_a_candidate_without_the_modality(small_study):
+    study, sid = without_modality(small_study, "train", FC)
+    cfg = pipeline.load_config(overrides={
+        "mpca": {"kappa": 30}, "filtering": {"eval_epochs": 20}})
+    eval_fn = pipeline.make_filter_eval(study, cfg)
+    with pytest.raises(ValueError,
+                       match=f"subject {sid}: missing modality {FC}"):
+        eval_fn([s.id for s in study.by_split("train")])

@@ -147,8 +147,7 @@ def reference_train_linear(features, labels, C, epochs):
     steps, kkt_gap, whether any beta ended free)."""
     x_raw = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    mean, std = svm._standardize_fit(x_raw)
-    x = (x_raw - mean) / std
+    x, _, _ = svm.standardize(x_raw)
     y_pm = np.where(y == 1, 1.0, -1.0)
     m = len(y_pm)
 
