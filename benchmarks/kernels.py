@@ -27,6 +27,9 @@ epoch's loss and gradients on the graph ``stage_select_features`` builds
 from the default study below, with the default ``GatConfig``, parameters
 from ``init_params`` at a fixed seed and a dropout generator re-seeded
 each call; the loss and every gradient are compared),
+``data.load_study`` (the generated default study below, read from disk:
+every tensor, EHR row, label, screening time and landmark set, the
+feature names and the exclusions are compared),
 ``synthetic.generate_synthetic``
 (a 40-subject study of default-shaped 32 x 32 x 8 stacks, written to a
 temporary directory), ``metrics.fit_score_squash`` (56 seeded scores, the
@@ -112,7 +115,7 @@ def load_tree(src: Path, alias: str) -> dict:
     spec.loader.exec_module(module)
     return {name: importlib.import_module(f"{alias}.{name}")
             for name in ("svm", "mpca", "tensor3", "registration", "fusion",
-                         "pipeline", "synthetic", "metrics", "gat")}
+                         "pipeline", "synthetic", "metrics", "gat", "data")}
 
 
 # the EHR columns the GAT of a default run at seed 0 selects, in rank order
@@ -126,15 +129,15 @@ CV_EHR_COLUMNS = ["informative_3", "informative_0", "noise_26", "informative_1",
 CAPPED_FOLD = 2
 
 
-def default_study(mods: dict) -> tuple:
-    """(study, config) of a default run at seed 0, loaded, registered and
-    uncertainty-filtered as ``cardiofuse run`` does."""
+def default_study(mods: dict, study_dir: str) -> tuple:
+    """(study, config) of a default run at seed 0, generated into
+    ``study_dir``, then loaded, registered and uncertainty-filtered as
+    ``cardiofuse run`` does."""
     pipeline = mods["pipeline"]
     cfg = pipeline.load_config()
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg["data_dir"] = tmp
-        pipeline.stage_generate(cfg, tmp)
-        study = pipeline.stage_load(cfg)
+    cfg["data_dir"] = study_dir
+    pipeline.stage_generate(cfg, study_dir)
+    study = pipeline.stage_load(cfg)
     pipeline.stage_preprocess(study)
     pipeline.stage_filtering(study, cfg)
     return study, cfg
@@ -147,7 +150,7 @@ def cv_matrices(mods: dict, study, cfg: dict) -> dict:
     splits = fusion._splits(study)
     labels = study.labels(splits["train"])
     imaging, _, _ = fusion._imaging_features(
-        splits, ["short_axis", "four_chamber"], "intermediate", config)
+        splits, labels, ["short_axis", "four_chamber"], "intermediate", config)
     ehr = fusion._ehr_features(splits, study, config)
     return {"imaging": (imaging["train"], labels),
             "ehr": (ehr["train"], labels)}
@@ -179,7 +182,8 @@ def inputs(mods: dict) -> dict:
     hires_basis = rng.normal(size=(48, 48, 8))
     hires = [hires_basis * rng.normal() + 0.5 * rng.normal(size=(48, 48, 8))
              for _ in range(224)]
-    study, cfg = default_study(mods)
+    default_dir = tempfile.TemporaryDirectory()  # removed at exit
+    study, cfg = default_study(mods, default_dir.name)
     cv = cv_matrices(mods, study, cfg)
     graph = gat_graph(mods, study, cfg)
     # fixed parameters, from a generator of their own
@@ -203,6 +207,7 @@ def inputs(mods: dict) -> dict:
             "hires_stacks": hires, "cv": cv,
             "capped": (ehr_x[train], ehr_y[train]),
             "graph": graph, "gat_params": gat_params,
+            "default_dir": default_dir,
             "squash": (squash_scores, squash_labels)}
 
 
@@ -324,6 +329,21 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
     def project():
         return [mpca.transform_flat(hires_model, data["hires_stacks"])]
 
+    def load():
+        # references to what was read, not copies: the comparison after
+        # the timed rounds reads them
+        table = mods["data"].load_study(data["default_dir"].name)
+        names = json.dumps([table.feature_names, table.exclusions,
+                            [s.id for s in table.subjects]]).encode()
+        out = [np.frombuffer(names, dtype=np.uint8),
+               np.array([(s.label, s.order_key) for s in table.subjects])]
+        for s in table.subjects:
+            out.append(s.tabular)
+            for m in sorted(s.tensors):
+                out += [s.tensors[m], s.landmarks[m].points,
+                        s.landmarks[m].uncertainties]
+        return out
+
     def generate():
         synthetic.generate_synthetic(
             synthetic.SyntheticSpec(seed=0, n_subjects=GENERATED_SUBJECTS),
@@ -362,6 +382,8 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
         "mpca.fisher_rank": ("224 x 33,856", rank, 1),
         "mpca.transform_flat": ("224 x 48x48x8 onto 46x46x8",
                                 project, 1),
+        "data.load_study": ("generated default study, seed 0, 400 subjects,"
+                            " 32x32x8", load, 1),
         "synthetic.generate_synthetic": (
             f"{GENERATED_SUBJECTS} subjects, 32x32x8", generate, 1),
         "metrics.fit_score_squash": (f"{SQUASH_N} scores", squash, 1),

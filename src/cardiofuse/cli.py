@@ -2,8 +2,7 @@
 
 Subcommands: generate, run, compare.  `generate` and `run` take --config
 (JSON), --seed and --out-dir; `compare` takes manifest paths and --out-dir.
-The CARDIOFUSE_OUT_DIR environment variable overrides the output
-directory.  `run` additionally accepts repeated --stage name=on|off
+`run` additionally accepts repeated --stage name=on|off
 toggles, so one part of the pipeline runs as, e.g.,
 `cardiofuse run --stage evaluate=off --stage dca=off` (through training).
 """
@@ -13,15 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import pipeline, svg
-
-OUT_DIR_ENV = "CARDIOFUSE_OUT_DIR"
 
 
 def _common_config(args) -> dict:
@@ -32,9 +28,8 @@ def _common_config(args) -> dict:
         cfg = pipeline.load_config(args.config, overrides)
     except ValueError as exc:  # a typo or malformed JSON in --config
         raise SystemExit(f"bad config: {exc}")
-    out_dir = os.environ.get(OUT_DIR_ENV) or args.out_dir
-    if out_dir:
-        cfg["out_dir"] = out_dir
+    if args.out_dir:
+        cfg["out_dir"] = args.out_dir
     return cfg
 
 
@@ -81,7 +76,10 @@ def _load_report(manifest_path: Path) -> tuple[str, list[dict]]:
     seg_path = manifest["artifacts"].get("segment_metrics")
     if not seg_path:
         raise SystemExit(f"{manifest_path}: manifest lacks an evaluation report")
-    segments = json.loads(Path(seg_path).read_text(encoding="utf-8"))
+    # the manifest records the path as the run saw it; the file sits next
+    # to the manifest
+    segments = json.loads((manifest_path.parent / Path(seg_path).name)
+                          .read_text(encoding="utf-8"))
     name = manifest["config"]["fusion"]["strategy"] + ":" + "+".join(
         manifest["config"]["fusion"]["modalities"]
     )
@@ -103,7 +101,7 @@ def cmd_compare(args) -> int:
         rows.append(entry)
     rows.sort(key=lambda r: -r["auroc"])
 
-    out_dir = Path(os.environ.get(OUT_DIR_ENV) or args.out_dir or ".")
+    out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "comparison.csv"
     with open(csv_path, "w", encoding="utf-8") as f:

@@ -17,8 +17,10 @@ Values are stored in float32 but all in-memory arithmetic is float64.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,15 +52,20 @@ def write_tensor(path, t: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as f:
-        if f.read(4) != TENSOR_MAGIC:
-            raise StudyFormatError(f"{path}: bad magic, not a tensor file")
-        version, i1, i2, i3 = struct.unpack("<IIII", f.read(16))
-        if version != TENSOR_VERSION:
-            raise StudyFormatError(f"{path}: unsupported version {version}")
-        payload = f.read(4 * i1 * i2 * i3)
-        if len(payload) != 4 * i1 * i2 * i3:
-            raise StudyFormatError(f"{path}: truncated payload")
-    t = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(i1, i2, i3)
+        raw = f.read()
+    if len(raw) < 20:
+        raise StudyFormatError(f"{path}: {len(raw)} bytes, shorter than the"
+                               f" 20-byte header")
+    if raw[:4] != TENSOR_MAGIC:
+        raise StudyFormatError(f"{path}: bad magic, not a tensor file")
+    version, i1, i2, i3 = struct.unpack_from("<IIII", raw, 4)
+    if version != TENSOR_VERSION:
+        raise StudyFormatError(f"{path}: unsupported version {version}")
+    if len(raw) - 20 != 4 * i1 * i2 * i3:
+        raise StudyFormatError(f"{path}: payload of {len(raw) - 20} bytes,"
+                               f" dims {(i1, i2, i3)} need {4 * i1 * i2 * i3}")
+    t = np.frombuffer(raw, dtype="<f4", offset=20).astype(np.float64)
+    t = t.reshape(i1, i2, i3)
     if not np.all(np.isfinite(t)):
         raise StudyFormatError(f"{path}: non-finite tensor values")
     return t
@@ -85,15 +92,6 @@ class StudyTable:
     exclusions: list[tuple[str, str]] = field(default_factory=list)
     cleaning: CleaningReport | None = None  # set by clean_tabular
 
-    def ids(self) -> list[str]:
-        return [s.id for s in self.subjects]
-
-    def get(self, subject_id: str) -> Subject:
-        for s in self.subjects:
-            if s.id == subject_id:
-                return s
-        raise KeyError(subject_id)
-
     def by_split(self, *tags: str) -> list[Subject]:
         return [s for s in self.subjects if s.split in tags]
 
@@ -109,13 +107,18 @@ class StudyTable:
 def _read_csv(path: Path, required_first: str,
               columns: int) -> tuple[list[str], list[list[str]]]:
     """Header (``columns`` wide at least) and rows, one cell per column."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise StudyFormatError(f"{path}: empty file, header row required")
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except FileNotFoundError:
+        raise StudyFormatError(f"{path}: required study file is missing"
+                               ) from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise StudyFormatError(f"{path}: unreadable CSV: {exc}") from None
+    if header is None:
+        raise StudyFormatError(f"{path}: empty file, header row required")
     if not header or header[0] != required_first:
         raise StudyFormatError(
             f"{path}: first header column must be '{required_first}'"
@@ -129,26 +132,33 @@ def _read_csv(path: Path, required_first: str,
     return header, rows
 
 
-def _numeric(path, cell: str, what: str) -> float:
+def _numeric(path, sid: str, cell: str, what: str) -> float:
+    """``cell`` as a finite float; anything else raises StudyFormatError
+    naming the file and the subject."""
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        raise StudyFormatError(f"{path}: non-numeric {what}: {cell!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise StudyFormatError(f"{path}: subject {sid!r}: {what} {cell!r}"
+                               f" is not a finite number")
+    return value
 
 
 def load_study(directory) -> StudyTable:
     """Assemble a StudyTable from a study directory, joining on subject_id.
 
-    Subjects missing a required tensor, labels or landmarks are excluded
-    and reported; an empty directory yields an empty table with a warning.
+    ``ehr.csv``, ``labels.csv`` and ``landmarks.csv`` are all required,
+    and every value in them must be well-formed: a bad file or value
+    raises StudyFormatError naming the file (and the subject, for a bad
+    row).  Subjects missing a required tensor, labels or landmarks, or
+    with a stack whose dims differ from the study's (the modality's most
+    common dims), are excluded and reported.
     """
     directory = Path(directory)
     ehr_path = directory / "ehr.csv"
     labels_path = directory / "labels.csv"
     landmarks_path = directory / "landmarks.csv"
-    if not ehr_path.exists() and not labels_path.exists():
-        warnings.warn(f"{directory}: no study files found, returning empty table")
-        return StudyTable(subjects=[])
 
     header, rows = _read_csv(ehr_path, "subject_id", 1)
     feature_names = header[1:]
@@ -157,7 +167,8 @@ def load_study(directory) -> StudyTable:
         sid = row[0]
         if sid in tabular:
             raise StudyFormatError(f"{ehr_path}: duplicate subject row {sid!r}")
-        values = [np.nan if cell == "" else _numeric(ehr_path, cell, "EHR cell")
+        values = [np.nan if cell == ""
+                  else _numeric(ehr_path, sid, cell, "EHR cell")
                   for cell in row[1:]]
         tabular[sid] = np.asarray(values, dtype=np.float64)
 
@@ -167,25 +178,29 @@ def load_study(directory) -> StudyTable:
         sid = row[0]
         if sid in labels:
             raise StudyFormatError(f"{labels_path}: duplicate subject row {sid!r}")
-        label = _numeric(labels_path, row[1], "label")
+        label = _numeric(labels_path, sid, row[1], "label")
         if label not in (0.0, 1.0):
             raise StudyFormatError(f"{labels_path}: subject {sid!r}: label"
                                    f" {row[1]!r} is not 0 or 1")
-        order_key = _numeric(labels_path, row[2], "screen_time") if len(row) > 2 else 0.0
+        order_key = (_numeric(labels_path, sid, row[2], "screen_time")
+                     if len(row) > 2 else 0.0)
         labels[sid] = (int(label), order_key)
 
-    landmark_rows: dict[str, dict[str, list]] = {}
-    if landmarks_path.exists():
-        _, lm_rows = _read_csv(landmarks_path, "subject_id", 6)
-        for row in lm_rows:
-            sid, modality = row[0], row[1]
-            entry = landmark_rows.setdefault(sid, {}).setdefault(modality, [])
-            entry.append((
-                int(_numeric(landmarks_path, row[2], "landmark_id")),
-                _numeric(landmarks_path, row[3], "x"),
-                _numeric(landmarks_path, row[4], "y"),
-                _numeric(landmarks_path, row[5], "uncertainty"),
-            ))
+    landmark_rows: dict[str, dict[str, dict[int, tuple]]] = {}
+    _, lm_rows = _read_csv(landmarks_path, "subject_id", 6)
+    for row in lm_rows:
+        sid, modality = row[0], row[1]
+        j, x, y, u = (_numeric(landmarks_path, sid, cell, what) for cell, what
+                      in zip(row[2:6], ("landmark_id", "x", "y", "uncertainty")))
+        entry = landmark_rows.setdefault(sid, {}).setdefault(modality, {})
+        if j not in range(N_LANDMARKS) or j in entry:
+            raise StudyFormatError(
+                f"{landmarks_path}: subject {sid!r}: {modality} landmark_id"
+                f" {row[2]!r} must be one of 0..{N_LANDMARKS - 1}, once each")
+        if u < 0:
+            raise StudyFormatError(f"{landmarks_path}: subject {sid!r}:"
+                                   f" negative uncertainty {row[5]!r}")
+        entry[int(j)] = (x, y, u)
 
     subjects, exclusions = [], []
     for sid in sorted(tabular):
@@ -206,15 +221,16 @@ def load_study(directory) -> StudyTable:
         lms = {}
         bad = None
         for modality in MODALITIES:
-            entries = sorted(landmark_rows.get(sid, {}).get(modality, []))
+            entries = landmark_rows.get(sid, {}).get(modality, {})
             if len(entries) != N_LANDMARKS:
                 bad = f"expected {N_LANDMARKS} {modality} landmarks, got {len(entries)}"
                 break
+            ordered = [entries[j] for j in range(N_LANDMARKS)]
             lms[modality] = LandmarkSet(
                 subject_id=sid,
                 modality=modality,
-                points=np.asarray([(x, y) for _, x, y, _ in entries]),
-                uncertainties=np.asarray([u for _, _, _, u in entries]),
+                points=np.asarray([(x, y) for x, y, _ in ordered]),
+                uncertainties=np.asarray([u for _, _, u in ordered]),
             )
         if bad:
             exclusions.append((sid, bad))
@@ -222,6 +238,18 @@ def load_study(directory) -> StudyTable:
         label, order_key = labels[sid]
         subjects.append(Subject(id=sid, tensors=tensors, tabular=tabular[sid],
                                 label=label, landmarks=lms, order_key=order_key))
+
+    # a stack must have its modality's most common dims; a tie goes to the
+    # earliest subject's
+    for modality in MODALITIES:
+        shapes = [s.tensors[modality].shape for s in subjects]
+        common = Counter(shapes).most_common(1)[0][0] if shapes else None
+        for s, shape in zip(subjects, shapes):
+            if shape != common:
+                exclusions.append((s.id, f"{modality} tensor dims {shape}"
+                                         f" differ from the study's {common}"))
+        subjects = [s for s, shape in zip(subjects, shapes) if shape == common]
+    exclusions.sort()
     return StudyTable(subjects=subjects, feature_names=feature_names,
                       exclusions=exclusions)
 
@@ -318,7 +346,7 @@ def chronological_split(table: StudyTable, train_fraction: float,
 def carve_validation(table: StudyTable, fraction: float, seed: int = 0) -> StudyTable:
     """Re-tag a stratified random share of the train split as validation."""
     train = table.by_split("train")
-    labels = np.asarray([s.label for s in train], dtype=np.int64)
+    labels = table.labels(train)
     rng = np.random.default_rng(seed)
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)

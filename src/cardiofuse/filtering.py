@@ -10,7 +10,7 @@ consecutive iterations, and the subset with the best AUROC wins.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,16 +26,7 @@ class FilterReport:
     best_auroc: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "Q": self.Q,
-                "removed_bins": self.removed_bins,
-                "removed_subject_ids": self.removed_subject_ids,
-                "validation_auroc_trace": [list(t) for t in self.validation_auroc_trace],
-                "best_auroc": self.best_auroc,
-            },
-            sort_keys=True, indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _pooled_landmarks(subjects) -> list[tuple[float, str, str, int]]:

@@ -186,8 +186,8 @@ def _splits(study: StudyTable) -> dict[str, list[Subject]]:
     }
 
 
-def _imaging_features(splits, modalities: list[str], mode: str,
-                      config: PipelineConfig):
+def _imaging_features(splits, y_train: np.ndarray, modalities: list[str],
+                      mode: str, config: PipelineConfig):
     """Flat Fisher-selected features per split for one imaging branch.
 
     Returns ``(features, kappa, models)``: the feature matrix of each split
@@ -201,7 +201,6 @@ def _imaging_features(splits, modalities: list[str], mode: str,
         return [[s.tensors[m] for m in modalities] for s in subjects]
 
     train_stacks = gather(splits["train"])
-    y_train = np.asarray([s.label for s in splits["train"]], dtype=np.int64)
 
     if mode == "early" or len(modalities) == 1:
         def compose(stacks):
@@ -303,7 +302,8 @@ def fit_branch(name: str, modalities: list[str], mode: str,
     if mode == EHR:
         x = _ehr_features(splits, study, config)
     else:
-        x, kappa, models = _imaging_features(splits, modalities, mode, config)
+        x, kappa, models = _imaging_features(splits, y_train, modalities,
+                                             mode, config)
     x_train = x["train"]
     cv = None
     if config.fixed_c is not None:

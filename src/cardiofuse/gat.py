@@ -36,8 +36,17 @@ from . import svm
 from .metrics import auroc
 
 
-@dataclass
+class _Edges(NamedTuple):
+    """Attention edges (v <- u), self-loops included, sorted by ``dst``."""
+    dst: np.ndarray                 # (E,) node v whose softmax holds the edge
+    src: np.ndarray                 # (E,) neighbour u
+    indptr: np.ndarray              # (V + 1,) CSR bounds of each dst segment
+    weight: np.ndarray              # (E,) edge weight e_vu
+
+
+@dataclass(frozen=True)
 class SubjectGraph:
+    """Subjects as nodes; ``edges`` is built once, when the graph is made."""
     node_features: np.ndarray       # (V, d0), standardized
     edge_weights: np.ndarray        # (V, V) cosine sims; self-loop diag = 1
     adjacency: np.ndarray           # (V, V) bool incl. self-loops
@@ -46,6 +55,17 @@ class SubjectGraph:
     train_mask: np.ndarray          # (V,) bool
     val_mask: np.ndarray            # (V,) bool
     feature_names: list[str]
+    edges: _Edges = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        v = self.n_nodes
+        if not np.all(np.diagonal(self.adjacency)):
+            raise ValueError("every node needs its self-loop in the adjacency")
+        # row-major order sorts the edges by destination; no segment is empty
+        dst, src = np.divmod(np.flatnonzero(self.adjacency), v)
+        indptr = np.searchsorted(dst, np.arange(v + 1))
+        object.__setattr__(self, "edges", _Edges(
+            dst, src, indptr, self.edge_weights[dst, src]))
 
     @property
     def n_nodes(self) -> int:
@@ -74,7 +94,6 @@ class GatModel:
     in_dim: int
     params: dict[str, np.ndarray]
     loss_history: list[float] = field(default_factory=list)
-    trained: bool = False
 
 
 @dataclass
@@ -202,24 +221,6 @@ def _leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x > 0, 1.0, slope)
 
 
-class _Edges(NamedTuple):
-    """Attention edges (v <- u), self-loops included, sorted by ``dst``."""
-    dst: np.ndarray                 # (E,) node v whose softmax holds the edge
-    src: np.ndarray                 # (E,) neighbour u
-    indptr: np.ndarray              # (V + 1,) CSR bounds of each dst segment
-    weight: np.ndarray              # (E,) edge weight e_vu
-
-
-def _edge_list(g: SubjectGraph) -> _Edges:
-    v = g.n_nodes
-    if not np.all(np.diagonal(g.adjacency)):
-        raise ValueError("every node needs its self-loop in the adjacency")
-    # row-major order sorts the edges by destination; no segment is empty
-    dst, src = np.divmod(np.flatnonzero(g.adjacency), v)
-    indptr = np.searchsorted(dst, np.arange(v + 1))
-    return _Edges(dst, src, indptr, g.edge_weights[dst, src])
-
-
 def _segment_ordered_sum(values: np.ndarray, edges: _Edges) -> np.ndarray:
     """Per-destination sum of edge ``values`` in value-sorted order, which
     makes it permutation invariant.
@@ -311,7 +312,7 @@ def forward(params: dict[str, np.ndarray], config: GatConfig, g: SubjectGraph,
     are bit-identical under node relabeling (used by property tests; slower).
     """
     h = g.node_features if features_override is None else features_override
-    logits, cache = _forward(params, config, _edge_list(g), h, dropout_rng,
+    logits, cache = _forward(params, config, g.edges, h, dropout_rng,
                              order_invariant)
     if not return_cache:
         return logits
@@ -335,7 +336,7 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
                    dropout_rng: np.random.Generator | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Cross-entropy over train-masked nodes and exact gradients."""
-    edges = _edge_list(g)
+    edges = g.edges
     logits, cache = _forward(params, config, edges, g.node_features,
                              dropout_rng, order_invariant=False)
     loss = cross_entropy(logits, g.labels, g.train_mask)
@@ -414,7 +415,7 @@ def train(g: SubjectGraph, config: GatConfig) -> GatModel:
             v_hat = vv[name] / (1 - beta2 ** t)
             params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     return GatModel(config=config, in_dim=g.n_features, params=params,
-                    loss_history=history, trained=True)
+                    loss_history=history)
 
 
 def predict_scores(model: GatModel, g: SubjectGraph,
@@ -435,8 +436,6 @@ def ablation_importance(model: GatModel, g: SubjectGraph,
     and minimum training loss, and the graph's attention edge count
     (self-loops included) and mean degree (self-loops excluded).
     """
-    if not model.trained:
-        raise ValueError("model has not been trained")
     if not g.val_mask.any():
         raise ValueError("empty validation mask")
     val = g.val_mask

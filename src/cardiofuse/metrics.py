@@ -213,10 +213,7 @@ class EvalReport:
     dca_curve: list[tuple[float, float, float, float]] = field(default_factory=list)
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["confusion"] = list(self.confusion)
-        d["dca_curve"] = [list(row) for row in self.dca_curve]
-        return json.dumps(d, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def operating_point(scores, labels) -> tuple:

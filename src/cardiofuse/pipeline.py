@@ -14,6 +14,7 @@ so ``pipeline_config`` unpacks both sections as they are.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import json
@@ -27,7 +28,7 @@ from . import gat, metrics, svg
 from .data import (StudyTable, carve_validation, chronological_split,
                    clean_tabular, load_study)
 from .filtering import FilterReport, filter_training_samples
-from .fusion import (EHR, FusionPlan, PipelineConfig, RunResult, fit_branch,
+from .fusion import (FusionPlan, PipelineConfig, RunResult, fit_branch,
                      run_plan)
 from .registration import MODALITIES, build_template, register_stack
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -166,19 +167,15 @@ def _load_record(study: StudyTable) -> dict:
 
 def stage_preprocess(study: StudyTable) -> dict[str, np.ndarray]:
     """Register every subject's stacks to per-modality mean-landmark templates."""
-    templates = {}
     train = study.by_split("train", "validation")
-    for modality in MODALITIES:
-        sets = [s.landmarks[modality] for s in train if modality in s.landmarks]
-        if not sets:
-            continue
-        templates[modality] = build_template(sets)
+    templates = {modality: build_template([s.landmarks[modality]
+                                           for s in train])
+                 for modality in MODALITIES}
     for s in study.subjects:
         for modality, template in templates.items():
-            if modality in s.tensors and modality in s.landmarks:
-                s.tensors[modality] = register_stack(
-                    s.tensors[modality], s.landmarks[modality], template
-                )
+            s.tensors[modality] = register_stack(
+                s.tensors[modality], s.landmarks[modality], template
+            )
     return templates
 
 
@@ -234,12 +231,6 @@ def stage_select_features(study: StudyTable, cfg: dict):
                            seed=cfg["seed"])
     model = gat.train(graph, config)
     return gat.ablation_importance(model, graph, theta=gcfg["theta"])
-
-
-def stage_train(study: StudyTable, cfg: dict,
-                ehr_features=None) -> RunResult:
-    return run_plan(FusionPlan(**cfg["fusion"]), study,
-                    pipeline_config(cfg, ehr_features))
 
 
 def _test_labels(result: RunResult, study: StudyTable) -> np.ndarray:
@@ -304,26 +295,32 @@ def dca_svg(curve) -> str:
 
 
 class _StageLog:
-    """Which stage is running, and its clock; each finished stage appends
-    its manifest entry."""
+    """The running stage and the directory artifacts go to; each finished
+    stage appends its manifest entry."""
 
-    def __init__(self, manifest: dict):
+    def __init__(self, manifest: dict, out: Path):
         self.manifest = manifest
+        self.out = out
         self.running: str | None = None
-        self.start = 0.0
 
-    def begin(self, name: str) -> None:
-        self.running, self.start = name, time.monotonic()
-
-    def record(self, **artifacts) -> None:
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Time the ``with`` body; append its entry once the body ends."""
+        self.running, start = name, time.monotonic()
+        yield
         # the process's peak resident set so far; ru_maxrss counts KiB
         max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         self.manifest["stages"].append(
-            {"name": self.running,
-             "wall_clock_s": round(time.monotonic() - self.start, 3),
+            {"name": name,
+             "wall_clock_s": round(time.monotonic() - start, 3),
              "max_rss_mb": round(max_rss / 1024, 1)}
         )
-        self.manifest["artifacts"].update(artifacts)
+
+    def write(self, key: str, file_name: str, text: str) -> None:
+        """Write ``text`` to ``out/file_name``; list it as artifact ``key``."""
+        path = self.out / file_name
+        path.write_text(text, encoding="utf-8")
+        self.manifest["artifacts"][key] = str(path)
 
 
 def run_all(cfg: dict, out_dir) -> dict:
@@ -331,7 +328,9 @@ def run_all(cfg: dict, out_dir) -> dict:
 
     ``manifest.json`` is written even when a stage raises: it then names
     the stage (``failed_stage``, ``load`` for reading the study) and the
-    ``error``, and the exception propagates.
+    ``error``, and the exception propagates.  An artifact is listed once
+    its file is written, so a failed stage lists what it wrote before it
+    failed.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -342,9 +341,9 @@ def run_all(cfg: dict, out_dir) -> dict:
         "stages": [],
         "artifacts": {},
     }
-    log = _StageLog(manifest)
+    log = _StageLog(manifest, out)
     try:
-        _run_stages(cfg, out, log)
+        _run_stages(cfg, log)
     except BaseException as exc:  # an interrupt leaves a failed run too
         manifest["failed_stage"] = log.running
         manifest["error"] = f"{type(exc).__name__}: {exc}"
@@ -355,75 +354,61 @@ def run_all(cfg: dict, out_dir) -> dict:
     return manifest
 
 
-def _run_stages(cfg: dict, out: Path, log: _StageLog) -> None:
+def _run_stages(cfg: dict, log: _StageLog) -> None:
     stages = cfg["stages"]
-    study = None
-    result = None
-    selected = None
+    study = result = selected = None
     if stages.get("generate"):
-        log.begin("generate")
-        stage_generate(cfg, cfg["data_dir"])
-        log.record(data_dir=str(cfg["data_dir"]))
-    needs_study = any(stages[k] for k in
-                      ("preprocess", "filtering", "select_features", "train"))
-    if needs_study:
-        log.begin("load")
-        study = stage_load(cfg)
-        log.manifest["load"] = _load_record(study)
-        log.record()
+        with log.stage("generate"):
+            stage_generate(cfg, cfg["data_dir"])
+            log.manifest["artifacts"]["data_dir"] = str(cfg["data_dir"])
+    if any(stages[k] for k in
+           ("preprocess", "filtering", "select_features", "train")):
+        with log.stage("load"):
+            study = stage_load(cfg)
+            log.manifest["load"] = _load_record(study)
 
     if stages["preprocess"]:
-        log.begin("preprocess")
-        stage_preprocess(study)
-        log.record()
+        with log.stage("preprocess"):
+            stage_preprocess(study)
 
     if stages["filtering"]:
-        log.begin("filtering")
-        report = stage_filtering(study, cfg)
-        path = out / "filter_report.json"
-        path.write_text(report.to_json(), encoding="utf-8")
-        log.record(filter_report=str(path))
+        with log.stage("filtering"):
+            report = stage_filtering(study, cfg)
+            log.write("filter_report", "filter_report.json", report.to_json())
 
     if stages["select_features"]:
-        log.begin("select_features")
-        importance = stage_select_features(study, cfg)
-        path = out / "feature_importance.csv"
-        path.write_text(importance.to_csv(), encoding="utf-8")
-        selected = importance.selected
-        log.manifest["gat"] = importance.convergence
-        log.record(feature_importance=str(path))
+        with log.stage("select_features"):
+            importance = stage_select_features(study, cfg)
+            log.write("feature_importance", "feature_importance.csv",
+                      importance.to_csv())
+            selected = importance.selected
+            log.manifest["gat"] = importance.convergence
 
     if stages["train"]:
-        log.begin("train")
-        ehr_features = selected if EHR in cfg["fusion"]["modalities"] else None
-        result = stage_train(study, cfg, ehr_features)
-        scores_path = out / "test_scores.csv"
-        with open(scores_path, "w", encoding="utf-8") as f:
-            f.write("subject_id,segment,score\n")
-            for sid, seg, score in zip(result.ids["test"], result.segments,
-                                       result.fused_scores["test"]):
-                f.write(f"{sid},{'' if seg is None else seg},{score:.12g}\n")
-        run_path = out / "run_manifest.json"
-        run_path.write_text(json.dumps(result.manifest(), sort_keys=True,
-                                       indent=2), encoding="utf-8")
-        log.record(test_scores=str(scores_path), run_manifest=str(run_path))
+        with log.stage("train"):
+            # ``selected`` is read only by a plan's EHR branch
+            result = run_plan(FusionPlan(**cfg["fusion"]), study,
+                              pipeline_config(cfg, selected))
+            rows = "".join(
+                f"{sid},{'' if seg is None else seg},{score:.12g}\n"
+                for sid, seg, score in zip(result.ids["test"], result.segments,
+                                           result.fused_scores["test"]))
+            log.write("test_scores", "test_scores.csv",
+                      "subject_id,segment,score\n" + rows)
+            log.write("run_manifest", "run_manifest.json",
+                      json.dumps(result.manifest(), sort_keys=True, indent=2))
 
     if stages["evaluate"]:
-        log.begin("evaluate")
-        if result is None:
-            raise RuntimeError("evaluate stage needs the train stage enabled")
-        report, segments = stage_evaluate(result, study)
-        report_path = out / "eval_report.json"
-        report_path.write_text(report.to_json(), encoding="utf-8")
-        seg_path = out / "segment_metrics.json"
-        seg_path.write_text(json.dumps(segments, sort_keys=True, indent=2),
-                            encoding="utf-8")
-        log.record(eval_report=str(report_path), segment_metrics=str(seg_path))
+        with log.stage("evaluate"):
+            if result is None:
+                raise RuntimeError(
+                    "evaluate stage needs the train stage enabled")
+            report, segments = stage_evaluate(result, study)
+            log.write("eval_report", "eval_report.json", report.to_json())
+            log.write("segment_metrics", "segment_metrics.json",
+                      json.dumps(segments, sort_keys=True, indent=2))
         if stages["dca"]:
-            log.begin("dca")
-            csv_path = out / "dca_curve.csv"
-            csv_path.write_text(metrics.dca_curve_csv(report.dca_curve),
-                                encoding="utf-8")
-            svg_path = out / "dca_curve.svg"
-            svg_path.write_text(dca_svg(report.dca_curve), encoding="utf-8")
-            log.record(dca_csv=str(csv_path), dca_svg=str(svg_path))
+            with log.stage("dca"):
+                log.write("dca_csv", "dca_curve.csv",
+                          metrics.dca_curve_csv(report.dca_curve))
+                log.write("dca_svg", "dca_curve.svg", dca_svg(report.dca_curve))

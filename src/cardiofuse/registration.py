@@ -65,10 +65,6 @@ class AffineTransform:
         inv = np.linalg.inv(self.matrix)
         return AffineTransform(matrix=inv, offset=-inv @ self.offset)
 
-    @staticmethod
-    def identity() -> "AffineTransform":
-        return AffineTransform(np.eye(2), np.zeros(2))
-
 
 def _triangle_det(points: np.ndarray) -> float:
     a, b, c = points

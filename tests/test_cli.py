@@ -335,15 +335,6 @@ class TestRunCommand:
             cli.main(["run", "--config", str(cfg_path),
                       "--stage", "nonsense=maybe"])
 
-    def test_out_dir_env_override(self, tmp_path, monkeypatch):
-        cfg_path = write_config(tmp_path)
-        alt = tmp_path / "alt_out"
-        monkeypatch.setenv(cli.OUT_DIR_ENV, str(alt))
-        stages = [f"--stage={name}=off"
-                  for name in pipeline.DEFAULT_CONFIG["stages"]]
-        assert cli.main(["run", "--config", str(cfg_path)] + stages) == 0
-        assert (alt / "manifest.json").exists()
-
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg_path = write_config(tmp_path)
         stages = [f"--stage={name}=off"
@@ -461,3 +452,20 @@ class TestCompare:
         assert svg.startswith("<svg") and "auroc" in svg
         # std columns populated because the runs used >= 2 segments
         assert all(len(r.split(",")) == 7 for r in rows[1:])
+
+    def test_compare_from_another_directory(self, tmp_path, monkeypatch):
+        """The manifest lists its artifacts as the run's working directory
+        saw them; compare reads the report next to the manifest."""
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        cfg_path = write_config(
+            tmp_path, data_dir="data", out_dir="run",
+            fusion={"strategy": "early", "modalities": ["short_axis"]})
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--stage", "generate=on", "--stage", "dca=off"]) == 0
+        monkeypatch.chdir(tmp_path / "b")
+        assert cli.main(["compare", "../a/run/manifest.json",
+                         "--out-dir", "cmp"]) == 0
+        rows = (tmp_path / "b" / "cmp" / "comparison.csv").read_text()
+        assert rows.startswith("name,auroc") and "early:short_axis" in rows

@@ -2,11 +2,15 @@
 
 import csv
 import hashlib
+import shutil
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cardiofuse import data, synthetic
 from cardiofuse.data import (StudyFormatError, StudyTable, Subject,
@@ -38,6 +42,14 @@ class TestTensorFile:
         with pytest.raises(StudyFormatError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("size", [0, 3, 4, 19])
+    def test_short_header_rejected(self, tmp_path, size):
+        path = tmp_path / "short.hft"
+        write_tensor(path, np.zeros((2, 2, 2)))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(StudyFormatError, match="short.hft"):
+            read_tensor(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "trunc.hft"
         write_tensor(path, np.zeros((2, 2, 2)))
@@ -64,7 +76,7 @@ class TestTensorFile:
 
 
 def write_fixture_study(root: Path, n=3, missing_tensor_for=None,
-                        missing_label_for=None):
+                        missing_label_for=None, dims_of=None):
     """Minimal hand-built study directory with n complete subjects."""
     (root / "tensors").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(42)
@@ -94,25 +106,38 @@ def write_fixture_study(root: Path, n=3, missing_tensor_for=None,
         for modality in ("short_axis", "four_chamber"):
             if sid == missing_tensor_for and modality == "four_chamber":
                 continue
-            t = rng.normal(size=(4, 4, 2))
+            t = rng.normal(size=(dims_of or {}).get((sid, modality),
+                                                    (4, 4, 2)))
             tensors[(sid, modality)] = t
             write_tensor(root / "tensors" / f"{sid}_{modality}.hft", t)
     return sids, tensors
 
 
 class TestLoadStudy:
-    def test_empty_directory_warns(self, tmp_path):
-        with pytest.warns(UserWarning):
-            table = load_study(tmp_path)
-        assert table.subjects == []
+    @pytest.mark.parametrize("removed, named", [
+        (["ehr.csv"], "ehr.csv"),
+        (["labels.csv"], "labels.csv"),
+        (["landmarks.csv"], "landmarks.csv"),
+    ], ids=["no-ehr", "no-labels", "no-landmarks"])
+    def test_missing_study_file_rejected(self, tmp_path, removed, named):
+        write_fixture_study(tmp_path)
+        for name in removed:
+            (tmp_path / name).unlink()
+        with pytest.raises(StudyFormatError, match=f"{named}: required"):
+            load_study(tmp_path)
+
+    def test_empty_directory_rejected(self, tmp_path):
+        with pytest.raises(StudyFormatError, match="ehr.csv: required"):
+            load_study(tmp_path)
 
     def test_complete_fixture_field_by_field(self, tmp_path):
         sids, tensors = write_fixture_study(tmp_path)
         table = load_study(tmp_path)
-        assert table.ids() == sids
+        assert [s.id for s in table.subjects] == sids
         assert table.feature_names == ["age", "bmi"]
+        by_id = {s.id: s for s in table.subjects}
         for i, sid in enumerate(sids):
-            s = table.get(sid)
+            s = by_id[sid]
             assert s.label == i % 2
             assert s.order_key == float(i)
             np.testing.assert_allclose(s.tabular, [40 + i, 22.5 + i])
@@ -127,14 +152,14 @@ class TestLoadStudy:
     def test_missing_tensor_goes_to_exclusions(self, tmp_path):
         write_fixture_study(tmp_path, missing_tensor_for="p1")
         table = load_study(tmp_path)
-        assert table.ids() == ["p0", "p2"]
+        assert [s.id for s in table.subjects] == ["p0", "p2"]
         assert any(sid == "p1" and "tensor" in why
                    for sid, why in table.exclusions)
 
     def test_missing_label_goes_to_exclusions(self, tmp_path):
         write_fixture_study(tmp_path, missing_label_for="p2")
         table = load_study(tmp_path)
-        assert table.ids() == ["p0", "p1"]
+        assert [s.id for s in table.subjects] == ["p0", "p1"]
         assert ("p2", "missing label") in table.exclusions
 
     def test_duplicate_subject_rejected(self, tmp_path):
@@ -156,8 +181,20 @@ class TestLoadStudy:
         ("landmarks.csv", ["p1", "short_axis", 0, 5.0]),
         ("ehr.csv", ["p1", 41]),
         ("labels.csv", ["p1", 2, 1.0]),
+        ("ehr.csv", ["p1", "inf", 22.5]),
+        ("ehr.csv", ["p1", "nan", 22.5]),
+        ("labels.csv", ["p1", 1, "inf"]),
+        ("landmarks.csv", ["p1", "short_axis", 0, "nan", 3.0, 0.2]),
+        ("landmarks.csv", ["p1", "short_axis", 0, 5.0, "-inf", 0.2]),
+        ("landmarks.csv", ["p1", "short_axis", 0, 5.0, 3.0, "nan"]),
+        ("landmarks.csv", ["p1", "short_axis", 0, 5.0, 3.0, -0.1]),
+        ("landmarks.csv", ["p1", "short_axis", 1.5, 5.0, 3.0, 0.2]),
+        ("landmarks.csv", ["p1", "short_axis", 3, 5.0, 3.0, 0.2]),
     ], ids=["short-label-row", "short-landmark-row", "short-ehr-row",
-            "label-not-binary"])
+            "label-not-binary", "inf-ehr-cell", "nan-ehr-cell",
+            "inf-screen-time", "nan-landmark-x", "inf-landmark-y",
+            "nan-uncertainty", "negative-uncertainty",
+            "fractional-landmark-id", "landmark-id-out-of-range"])
     def test_malformed_row_names_file_and_subject(self, tmp_path, name, row):
         write_fixture_study(tmp_path)
         path = tmp_path / name
@@ -167,6 +204,29 @@ class TestLoadStudy:
             csv.writer(f).writerows(rows + [row])
         with pytest.raises(StudyFormatError, match=f"{name}: subject 'p1'"):
             load_study(tmp_path)
+
+    def test_duplicate_landmark_id_names_file_and_subject(self, tmp_path):
+        write_fixture_study(tmp_path)
+        path = tmp_path / "landmarks.csv"
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        for row in rows:  # ids 0, 0, 2
+            if row[:3] == ["p1", "short_axis", "1"]:
+                row[2] = "0"
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        with pytest.raises(StudyFormatError, match="landmarks.csv: subject"
+                           " 'p1': short_axis landmark_id '0' must be one of"):
+            load_study(tmp_path)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (0, 4, 2)])
+    def test_off_shape_tensor_goes_to_exclusions(self, tmp_path, dims):
+        write_fixture_study(tmp_path, dims_of={("p1", "four_chamber"): dims})
+        table = load_study(tmp_path)
+        assert [s.id for s in table.subjects] == ["p0", "p2"]
+        assert table.exclusions == [
+            ("p1", f"four_chamber tensor dims {dims} differ from the"
+                   f" study's (4, 4, 2)")]
 
     def test_narrow_landmark_header_rejected(self, tmp_path):
         write_fixture_study(tmp_path)
@@ -184,6 +244,120 @@ class TestLoadStudy:
         (tmp_path / "ehr.csv").write_text(text.replace("subject_id", "id", 1))
         with pytest.raises(StudyFormatError):
             load_study(tmp_path)
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def _write_csv_rows(path: Path, rows) -> None:
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+
+
+# the numeric columns of each study file that a mutation may corrupt
+NUMERIC_COLUMNS = {"ehr.csv": None, "labels.csv": [1, 2],
+                   "landmarks.csv": [2, 3, 4, 5]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_study(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("fuzz_study")
+    synthetic.generate_synthetic(
+        synthetic.SyntheticSpec(seed=2, n_subjects=6, dims=(6, 6, 2)), root)
+    return root
+
+
+def _mutate(root: Path, draw) -> tuple[str, str | None]:
+    """Apply one drawn mutation to the study at ``root``.
+
+    Returns the mutation's kind and, for an off-shape tensor, the subject
+    that must be excluded (None if the drawn dims happen to be the
+    study's); every other kind must raise StudyFormatError.
+    """
+    kind = draw(st.sampled_from(["truncated_tensor", "ragged_row",
+                                 "non_finite_cell", "landmark_id",
+                                 "negative_uncertainty", "off_shape"]))
+    if kind in ("truncated_tensor", "off_shape"):
+        path = draw(st.sampled_from(sorted((root / "tensors").iterdir())))
+        if kind == "truncated_tensor":
+            raw = path.read_bytes()
+            path.write_bytes(raw[:draw(st.integers(0, len(raw) - 1))])
+            return kind, None
+        dims = draw(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                              st.integers(1, 3)))
+        write_tensor(path, np.ones(dims))
+        return kind, (None if dims == (6, 6, 2)
+                      else path.name.split("_", 1)[0])
+    name = ("landmarks.csv" if kind in ("landmark_id", "negative_uncertainty")
+            else draw(st.sampled_from(sorted(NUMERIC_COLUMNS))))
+    rows = _csv_rows(root / name)
+    row = rows[draw(st.integers(1, len(rows) - 1))]
+    if kind == "ragged_row":
+        if draw(st.booleans()):
+            row.append("1")
+        else:
+            row.pop()
+    elif kind == "non_finite_cell":
+        columns = NUMERIC_COLUMNS[name] or range(1, len(row))
+        row[draw(st.sampled_from(list(columns)))] = draw(st.sampled_from(
+            ["nan", "NaN", "inf", "-inf", "1e999"]))
+    elif kind == "landmark_id":
+        row[2] = draw(st.sampled_from(["0.5", "1.5", "-1", "3",
+                                       str((int(row[2]) + 1) % 3)]))
+    else:
+        row[5] = draw(st.sampled_from(["-0.1", "-1e-9", "-3"]))
+    _write_csv_rows(root / name, rows)
+    return kind, None
+
+
+class TestLoadStudyFuzz:
+    """Mutated copies of a small generated study: each must end in a
+    StudyFormatError or a recorded exclusion, never another exception."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_study_rejected_or_subject_excluded(self, fuzz_study,
+                                                        data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "study"
+            shutil.copytree(fuzz_study, root)
+            kind, excluded = _mutate(root, data.draw)
+            if kind != "off_shape":
+                with pytest.raises(StudyFormatError):
+                    load_study(root)
+                return
+            table = load_study(root)
+        ids = [s.id for s in table.subjects]
+        assert len(ids) + len(table.exclusions) == 6
+        if excluded is not None:
+            assert excluded not in ids
+            assert [sid for sid, _ in table.exclusions] == [excluded]
+        for modality in ("short_axis", "four_chamber"):
+            assert {s.tensors[modality].shape for s in table.subjects} == {
+                (6, 6, 2)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(cut=st.integers(0, 20 + 4 * 8), flips=st.lists(
+        st.tuples(st.integers(0, 20 + 4 * 8 - 1), st.integers(0, 255)),
+        max_size=3))
+    def test_mutated_tensor_file_read_or_rejected(self, cut, flips):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.hft"
+            write_tensor(path, np.arange(8.0).reshape(2, 2, 2))
+            raw = bytearray(path.read_bytes())
+            for at, value in flips:
+                raw[at] = value
+            path.write_bytes(bytes(raw[:cut]))
+            try:
+                t = read_tensor(path)
+            except StudyFormatError as exc:
+                assert "t.hft" in str(exc)
+                return
+        assert t.ndim == 3 and np.all(np.isfinite(t))
+        assert 20 + 4 * t.size == cut
 
 
 def make_table(values, splits=None, names=None):
@@ -230,8 +404,9 @@ class TestCleanTabular:
         # oracle: recompute the training mean externally
         train_vals = [x[i, 0] for i in range(70) if i not in missing_rows]
         expected = np.mean(train_vals)
+        by_id = {s.id: s for s in table.subjects}
         for i in missing_rows:
-            got = table.get(f"s{i}").tabular[0]
+            got = by_id[f"s{i}"].tabular[0]
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_subject_count_unchanged(self):
@@ -370,7 +545,7 @@ class TestSyntheticGenerator:
         assert len(table.subjects) == 10
         assert table.exclusions == []
         assert len(table.feature_names) == 49
-        assert set(truth["corrupted_ids"]) <= set(table.ids())
+        assert set(truth["corrupted_ids"]) <= {s.id for s in table.subjects}
 
     def test_noiseless_informative_feature_is_separable(self, tmp_path):
         spec = synthetic.SyntheticSpec(

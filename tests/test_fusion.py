@@ -281,7 +281,8 @@ class TestRunPlan:
         splits = fusion._splits(small_study)
         config = merged_config(mpca={"kappa": 10 ** 6})  # keep every feature
         x, kappa, models = fusion._imaging_features(
-            splits, [SA, FC], "intermediate", config)
+            splits, small_study.labels(splits["train"]), [SA, FC],
+            "intermediate", config)
 
         def per_subject(subjects):
             return np.stack([
@@ -303,7 +304,8 @@ class TestRunPlan:
         splits = fusion._splits(small_study)
         config = merged_config(mpca={"kappa": 10 ** 6})
         x, _, models = fusion._imaging_features(
-            splits, [SA, FC], "intermediate", config)
+            splits, small_study.labels(splits["train"]), [SA, FC],
+            "intermediate", config)
 
         def concatenated(subjects):
             latents = [np.stack([mpca.transform(model, s.tensors[m])
