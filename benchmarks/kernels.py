@@ -22,7 +22,10 @@ the 100 outputs of a sample are all kept until it ends, as a run keeps
 its registered stacks),
 ``mpca.fisher_rank`` (224 x 33,856, the shape of the train latents of the
 benchmark's ``imaging_hires`` workload), ``mpca.transform_flat`` (224
-stacks of 48 x 48 x 8 onto 46 x 46 x 8), ``gat.loss_and_grads`` (one
+stacks of 48 x 48 x 8 onto 46 x 46 x 8), ``fusion._imaging_features``
+(the intermediate imaging branch of the default study below, short axis
+and four chamber: both MPCA fits, Fisher ranking and selection; the three
+splits' features and their layouts, and the models, are compared), ``gat.loss_and_grads`` (one
 epoch's loss and gradients on the graph ``stage_select_features`` builds
 from the default study below, with the default ``GatConfig``, parameters
 from ``init_params`` at a fixed seed and a dropout generator re-seeded
@@ -207,7 +210,7 @@ def inputs(mods: dict) -> dict:
             "hires_stacks": hires, "cv": cv,
             "capped": (ehr_x[train], ehr_y[train]),
             "graph": graph, "gat_params": gat_params,
-            "default_dir": default_dir,
+            "default_dir": default_dir, "default_study": (study, cfg),
             "squash": (squash_scores, squash_labels)}
 
 
@@ -326,6 +329,23 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
     def rank():
         return list(mpca.fisher_rank(data["latents"], data["latent_labels"]))
 
+    def select():
+        study, cfg = data["default_study"]
+        config = mods["pipeline"].pipeline_config(cfg, CV_EHR_COLUMNS)
+        splits = mods["fusion"]._splits(study)
+        x, kappa, models = mods["fusion"]._imaging_features(
+            splits, study.labels(splits["train"]),
+            ["short_axis", "four_chamber"], "intermediate", config)
+        # each split's layout too: decision_scores' sums depend on it
+        out = [np.array([kappa])]
+        for tag in ("train", "validation", "test"):
+            out += [x[tag], np.array([x[tag].flags.c_contiguous,
+                                      x[tag].flags.f_contiguous])]
+        for model in models:
+            out += model.projections + [model.mean_tensor,
+                                        np.array(model.scatter_trace)]
+        return out
+
     def project():
         return [mpca.transform_flat(hires_model, data["hires_stacks"])]
 
@@ -380,6 +400,8 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
         "gat.loss_and_grads": ("seed-0 default graph, default GatConfig,"
                                " per call", epoch, GAT_CALLS),
         "mpca.fisher_rank": ("224 x 33,856", rank, 1),
+        "fusion._imaging_features": ("seed-0 default study, intermediate"
+                                     " short_axis + four_chamber", select, 1),
         "mpca.transform_flat": ("224 x 48x48x8 onto 46x46x8",
                                 project, 1),
         "data.load_study": ("generated default study, seed 0, 400 subjects,"

@@ -151,9 +151,11 @@ def load_study(directory) -> StudyTable:
     ``ehr.csv``, ``labels.csv`` and ``landmarks.csv`` are all required,
     and every value in them must be well-formed: a bad file or value
     raises StudyFormatError naming the file (and the subject, for a bad
-    row).  Subjects missing a required tensor, labels or landmarks, or
-    with a stack whose dims differ from the study's (the modality's most
-    common dims), are excluded and reported.
+    row; a landmark row's modality must be one of ``MODALITIES``).
+    Subjects missing an EHR row, a required tensor, labels or landmarks,
+    or with a stack whose dims differ from the study's (the modality's
+    most common dims), are excluded and reported, so every subject id in
+    any of the three files is either loaded or in ``exclusions``.
     """
     directory = Path(directory)
     ehr_path = directory / "ehr.csv"
@@ -190,6 +192,10 @@ def load_study(directory) -> StudyTable:
     _, lm_rows = _read_csv(landmarks_path, "subject_id", 6)
     for row in lm_rows:
         sid, modality = row[0], row[1]
+        if modality not in MODALITIES:
+            raise StudyFormatError(f"{landmarks_path}: subject {sid!r}: unknown"
+                                   f" modality {modality!r}, not one of"
+                                   f" {', '.join(MODALITIES)}")
         j, x, y, u = (_numeric(landmarks_path, sid, cell, what) for cell, what
                       in zip(row[2:6], ("landmark_id", "x", "y", "uncertainty")))
         entry = landmark_rows.setdefault(sid, {}).setdefault(modality, {})
@@ -203,7 +209,10 @@ def load_study(directory) -> StudyTable:
         entry[int(j)] = (x, y, u)
 
     subjects, exclusions = [], []
-    for sid in sorted(tabular):
+    for sid in sorted({*tabular, *labels, *landmark_rows}):
+        if sid not in tabular:
+            exclusions.append((sid, "no ehr.csv row"))
+            continue
         if sid not in labels:
             exclusions.append((sid, "missing label"))
             continue

@@ -7,6 +7,13 @@
 - hybrid: early or intermediate on the imaging pair, then late with the
   tabular branch.
 
+An imaging branch's features are the top ``kappa`` Fisher-ranked columns
+of its flattened latents, early or intermediate.  That latent matrix is
+never built whole: ``_imaging_features`` ranks it one latent block (the
+composed tensor, or one modality) at a time and projects validation and
+test subjects straight into the selected columns, with the bits of
+ranking and selecting from the whole.
+
 ``run_plan`` executes the full DAG with the settings of a
 ``PipelineConfig``.  ``fit_branch`` fits each branch (MPCA, Fisher
 ranking, classifier) on the train split only; the one combiner,
@@ -190,8 +197,25 @@ def _imaging_features(splits, y_train: np.ndarray, modalities: list[str],
                       mode: str, config: PipelineConfig):
     """Flat Fisher-selected features per split for one imaging branch.
 
+    The features are columns of one latent matrix that is never built:
+    each subject's MPCA latent, or for intermediate fusion the mode-3
+    concatenation of its modalities' latents (``early_concat``'s index
+    map), flattened.  Its B blocks, the one composed block of early fusion
+    or one per modality for intermediate fusion, share the latent dims
+    J1 x J2 x J3, and block i's column (j1, j2, k) is column
+    ((j1 J2 + j2) B + i) J3 + k of the whole.  Each block of train latents
+    is projected and Fisher-ranked on its own, keeps its top ``kappa``
+    columns as candidates and is freed.  A block's columns keep their
+    relative order in the whole, so its candidates hold its share of the
+    whole's top ``kappa``, which is picked from them by descending score,
+    then column, as ``mpca.fisher_rank`` ranks.  Validation and test
+    subjects are projected block by block straight into their selected
+    columns.  So scores, ranking and values are those of ``fisher_rank``
+    on the whole matrix and ``x[:, order[:kappa]]``, in that indexing's
+    Fortran-order layout, on which ``decision_scores``' sums depend.
+
     Returns ``(features, kappa, models)``: the feature matrix of each split
-    tag, the feature count, and the fitted MPCA models.
+    tag, the feature count, and the fitted MPCA models, one per block.
     """
     def gather(subjects):
         for s in subjects:
@@ -203,56 +227,79 @@ def _imaging_features(splits, y_train: np.ndarray, modalities: list[str],
     train_stacks = gather(splits["train"])
 
     if mode == "early" or len(modalities) == 1:
-        def compose(stacks):
+        def block(stacks, i):  # the one block: the mode-3 concatenation
             t = stacks[0]
             for other in stacks[1:]:
                 t = early_concat(t, other)
             return t
-        train_tensors = [compose(ts) for ts in train_stacks]
-        model = mpca.fit(train_tensors, variance_fraction=config.variance_fraction,
-                         max_iters=config.iters)
-        models = [model]
-        def project(stacks):
-            return mpca.transform_flat(model, [compose(ts) for ts in stacks])
+        train_blocks = [[block(ts, 0) for ts in train_stacks]]
+        models = [mpca.fit(train_blocks[0],
+                           variance_fraction=config.variance_fraction,
+                           max_iters=config.iters)]
     elif mode == "intermediate":
-        per_mod = [[ts[i] for ts in train_stacks] for i in range(len(modalities))]
+        def block(stacks, i):
+            return stacks[i]
+        train_blocks = [[ts[i] for ts in train_stacks]
+                        for i in range(len(modalities))]
         # only the target dims are read, and initialization fixes them
         first_pass = [
             mpca.fit(tensors, variance_fraction=config.variance_fraction,
-                     max_iters=0)
-            for tensors in per_mod
+                     max_iters=0).target_dims
+            for tensors in train_blocks
         ]
         # shared latent dims so the latent concatenation lines up
-        shared = tuple(
-            max(m.target_dims[d] for m in first_pass) for d in range(3)
-        )
+        shared = tuple(max(dims[d] for dims in first_pass) for d in range(3))
         models = [
             mpca.fit(tensors, variance_fraction=config.variance_fraction,
                      max_iters=config.iters, target_dims=shared)
-            for tensors in per_mod
+            for tensors in train_blocks
         ]
-        def project(stacks):
-            # mode-3 concatenation of the latents, each written into its
-            # slice of one preallocated array
-            j1, j2, j3 = shared
-            out = np.empty((len(stacks), j1, j2, len(models) * j3))
-            for i, model in enumerate(models):
-                for latent, ts in zip(out, stacks):
-                    latent[:, :, i * j3:(i + 1) * j3] = mpca.transform(model,
-                                                                      ts[i])
-            return out.reshape(len(stacks), -1)
     else:
         raise ValueError(f"unknown imaging fusion mode {mode!r}")
 
-    flat = project(train_stacks)
-    order, _ = mpca.fisher_rank(flat, y_train)
-    kappa = min(config.kappa, flat.shape[1])
-    features = {"train": mpca.select_top(flat, order, kappa)}
-    del flat  # one unselected matrix alive at a time
+    n_blocks, width = len(models), models[0].n_features
+    kappa = min(config.kappa, n_blocks * width)
+    if kappa < 1:
+        raise ValueError(f"kappa={kappa} out of range for"
+                         f" {n_blocks * width} features")
+
+    def candidates(i):
+        """Block i's top ``kappa`` local columns, their scores and their
+        train values; its latents are freed on return."""
+        flat = mpca.transform_flat(models[i], train_blocks[i])
+        if width == 1 and n_blocks > 1:
+            # fisher_rank sums one column pairwise and a wider matrix row
+            # by row: beside a copy of itself a column is scored as in the
+            # whole matrix
+            order = np.zeros(1, dtype=np.intp)
+            score = mpca.fisher_rank(np.hstack([flat, flat]), y_train)[1][:1]
+        else:
+            order, score = mpca.fisher_rank(flat, y_train)
+        keep = order[:kappa]
+        return keep, score[keep], flat[:, keep]
+
+    local, scores, values = zip(*(candidates(i) for i in range(n_blocks)))
+    del train_blocks  # early fusion's composed stacks
+    owner = np.repeat(np.arange(n_blocks), [len(keep) for keep in local])
+    local = np.concatenate(local)
+    j3 = models[0].target_dims[2]
+    column = (local // j3 * n_blocks + owner) * j3 + local % j3
+    pick = np.lexsort((column, -np.concatenate(scores)))[:kappa]
+    local, owner = local[pick], owner[pick]
+
+    def select(subjects):
+        stacks = gather(subjects)
+        out = np.empty((kappa, len(stacks))).T  # the layout of x[:, idx]
+        for i, model in enumerate(models):
+            at = np.flatnonzero(owner == i)
+            cols = local[at]
+            for row, ts in zip(out, stacks):
+                row[at] = mpca.transform(model, block(ts, i)).ravel()[cols]
+        return out
+
+    features = {"train": np.hstack(values)[:, pick]}
     for tag in ("validation", "test"):
-        subjects = splits[tag]
-        features[tag] = (mpca.select_top(project(gather(subjects)), order, kappa)
-                         if subjects else np.zeros((0, kappa)))
+        features[tag] = select(splits[tag])
     return features, kappa, models
 
 

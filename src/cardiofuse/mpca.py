@@ -23,9 +23,8 @@ from .tensor3 import mode_n_product, projected_unfolding
 DEFAULT_VARIANCE_FRACTION = 0.97
 
 _FISHER_VAR_FLOOR = 1e-12
-# columns per block in fisher_rank: class copies and `var` temporaries are
-# M x this, not M x F
-FISHER_BLOCK = 2048
+# columns per block in fisher_rank: its class copy is M x this, not M x F
+FISHER_BLOCK = 256
 
 
 @dataclass
@@ -197,13 +196,14 @@ def fisher_rank(features: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     with index as the deterministic tie-break.
 
     The means and variances are computed over blocks of ``FISHER_BLOCK``
-    columns, so the class subsets and the temporaries of ``var`` are
-    block-sized copies rather than copies of the whole matrix.  The scores
-    are bit-identical to one pass over all columns: numpy reduces every
-    column of a block the same way as every column of the full matrix, row
-    by row for C order and pairwise for F order.  A block of one column
-    would be reduced pairwise whatever the order, so no block is one column
-    wide unless the matrix is: a one-column tail joins the block before it.
+    columns, so the one class subset alive at a time, in which the
+    variance is taken in place, is a block-sized copy rather than a copy
+    of the whole matrix.  The scores are bit-identical to one pass over
+    all columns with ``var``: numpy reduces every column of a block the
+    same way as every column of the full matrix, row by row for C order
+    and pairwise for F order.  A block of one column would be reduced
+    pairwise whatever the order, so no block is one column wide unless the
+    matrix is: a one-column tail joins the block before it.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -221,7 +221,11 @@ def fisher_rank(features: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
             n_c = len(xc)
             mu_c = xc.mean(axis=0)
             between[start:stop] += n_c * (mu_c - mu) ** 2
-            within[start:stop] += n_c * xc.var(axis=0)
+            # xc.var(axis=0)'s arithmetic, in place in the class copy
+            xc -= mu_c
+            np.square(xc, out=xc)
+            within[start:stop] += n_c * (xc.sum(axis=0) / n_c)
+            del xc  # one class copy alive at a time
     scores = np.where(
         between == 0.0, 0.0, between / np.maximum(within, _FISHER_VAR_FLOOR)
     )

@@ -190,11 +190,13 @@ class TestLoadStudy:
         ("landmarks.csv", ["p1", "short_axis", 0, 5.0, 3.0, -0.1]),
         ("landmarks.csv", ["p1", "short_axis", 1.5, 5.0, 3.0, 0.2]),
         ("landmarks.csv", ["p1", "short_axis", 3, 5.0, 3.0, 0.2]),
+        ("landmarks.csv", ["p1", "short-axis", 0, 5.0, 3.0, 0.2]),
     ], ids=["short-label-row", "short-landmark-row", "short-ehr-row",
             "label-not-binary", "inf-ehr-cell", "nan-ehr-cell",
             "inf-screen-time", "nan-landmark-x", "inf-landmark-y",
             "nan-uncertainty", "negative-uncertainty",
-            "fractional-landmark-id", "landmark-id-out-of-range"])
+            "fractional-landmark-id", "landmark-id-out-of-range",
+            "unknown-modality"])
     def test_malformed_row_names_file_and_subject(self, tmp_path, name, row):
         write_fixture_study(tmp_path)
         path = tmp_path / name
@@ -204,6 +206,27 @@ class TestLoadStudy:
             csv.writer(f).writerows(rows + [row])
         with pytest.raises(StudyFormatError, match=f"{name}: subject 'p1'"):
             load_study(tmp_path)
+
+    def test_unknown_modality_is_named(self, tmp_path):
+        write_fixture_study(tmp_path)
+        with open(tmp_path / "landmarks.csv", "a", newline="") as f:
+            csv.writer(f).writerow(["p2", "short-axis", 0, 5.0, 3.0, 0.2])
+        with pytest.raises(StudyFormatError, match="landmarks.csv: subject"
+                           " 'p2': unknown modality 'short-axis'"):
+            load_study(tmp_path)
+
+    @pytest.mark.parametrize("name, row", [
+        ("labels.csv", ["p9", 1, 9.0]),
+        ("landmarks.csv", ["p9", "four_chamber", 0, 5.0, 3.0, 0.2]),
+    ], ids=["labels-only", "landmarks-only"])
+    def test_subject_without_ehr_row_goes_to_exclusions(self, tmp_path, name,
+                                                        row):
+        sids, _ = write_fixture_study(tmp_path)
+        with open(tmp_path / name, "a", newline="") as f:
+            csv.writer(f).writerow(row)
+        table = load_study(tmp_path)
+        assert [s.id for s in table.subjects] == sids
+        assert table.exclusions == [("p9", "no ehr.csv row")]
 
     def test_duplicate_landmark_id_names_file_and_subject(self, tmp_path):
         write_fixture_study(tmp_path)
@@ -272,13 +295,15 @@ def fuzz_study(tmp_path_factory) -> Path:
 def _mutate(root: Path, draw) -> tuple[str, str | None]:
     """Apply one drawn mutation to the study at ``root``.
 
-    Returns the mutation's kind and, for an off-shape tensor, the subject
-    that must be excluded (None if the drawn dims happen to be the
-    study's); every other kind must raise StudyFormatError.
+    Returns the mutation's kind and, for an off-shape tensor or a row of a
+    subject with no EHR row, the subject that must be excluded (None if
+    the drawn dims happen to be the study's); every other kind must raise
+    StudyFormatError.
     """
     kind = draw(st.sampled_from(["truncated_tensor", "ragged_row",
                                  "non_finite_cell", "landmark_id",
-                                 "negative_uncertainty", "off_shape"]))
+                                 "negative_uncertainty", "off_shape",
+                                 "unknown_modality", "no_ehr_row"]))
     if kind in ("truncated_tensor", "off_shape"):
         path = draw(st.sampled_from(sorted((root / "tensors").iterdir())))
         if kind == "truncated_tensor":
@@ -290,10 +315,17 @@ def _mutate(root: Path, draw) -> tuple[str, str | None]:
         write_tensor(path, np.ones(dims))
         return kind, (None if dims == (6, 6, 2)
                       else path.name.split("_", 1)[0])
-    name = ("landmarks.csv" if kind in ("landmark_id", "negative_uncertainty")
+    name = ("landmarks.csv" if kind in ("landmark_id", "negative_uncertainty",
+                                        "unknown_modality")
+            else "ehr.csv" if kind == "no_ehr_row"
             else draw(st.sampled_from(sorted(NUMERIC_COLUMNS))))
     rows = _csv_rows(root / name)
     row = rows[draw(st.integers(1, len(rows) - 1))]
+    if kind == "no_ehr_row":
+        # the subject keeps its label and landmark rows
+        rows.remove(row)
+        _write_csv_rows(root / name, rows)
+        return kind, row[0]
     if kind == "ragged_row":
         if draw(st.booleans()):
             row.append("1")
@@ -303,6 +335,9 @@ def _mutate(root: Path, draw) -> tuple[str, str | None]:
         columns = NUMERIC_COLUMNS[name] or range(1, len(row))
         row[draw(st.sampled_from(list(columns)))] = draw(st.sampled_from(
             ["nan", "NaN", "inf", "-inf", "1e999"]))
+    elif kind == "unknown_modality":
+        row[1] = draw(st.sampled_from(["short-axis", "Short_Axis", "ehr", "",
+                                       "four chamber", "2ch"]))
     elif kind == "landmark_id":
         row[2] = draw(st.sampled_from(["0.5", "1.5", "-1", "3",
                                        str((int(row[2]) + 1) % 3)]))
@@ -325,7 +360,7 @@ class TestLoadStudyFuzz:
             root = Path(tmp) / "study"
             shutil.copytree(fuzz_study, root)
             kind, excluded = _mutate(root, data.draw)
-            if kind != "off_shape":
+            if kind not in ("off_shape", "no_ehr_row"):
                 with pytest.raises(StudyFormatError):
                     load_study(root)
                 return

@@ -3,6 +3,7 @@ plan validation, and run_plan behavior on a small synthetic study.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,29 +297,107 @@ class TestRunPlan:
         np.testing.assert_array_equal(x["validation"],
                                       per_subject(splits["validation"])[:, order])
 
+    # kappa below one block's width, above it, and every feature; 1e-9
+    # keeps one latent per block
+    SELECTIONS = ((10, 0.97), (200, 0.97), (10 ** 6, 0.97), (10 ** 6, 1e-9))
+
+    @staticmethod
+    def assert_whole_matrix_selection(x, kappa, requested, latents, splits):
+        """``x`` is the full-matrix oracle's selection: ``fisher_rank`` on
+        the whole train latent matrix, then ``[:, order[:kappa]]``, bit for
+        bit and in its layout, on which ``decision_scores``' sums depend."""
+        train = latents(splits["train"])
+        order, _ = mpca.fisher_rank(train, [s.label for s in splits["train"]])
+        assert kappa == min(requested, train.shape[1])
+        for tag in ("train", "validation", "test"):
+            expected = latents(splits[tag])[:, order[:kappa]]
+            assert x[tag].shape == expected.shape, tag
+            assert x[tag].tobytes() == expected.tobytes(), tag
+            assert x[tag].flags == expected.flags, tag
+
     def test_intermediate_latents_equal_concatenated_stacks(self,
                                                             small_study):
-        """Writing each latent into its slice of one preallocated array
-        gives the bytes of stacking each modality's latents and
-        concatenating them along mode 3."""
+        """Block-by-block selection equals selecting from each modality's
+        latents stacked and concatenated along mode 3."""
         splits = fusion._splits(small_study)
-        config = merged_config(mpca={"kappa": 10 ** 6})
-        x, _, models = fusion._imaging_features(
-            splits, small_study.labels(splits["train"]), [SA, FC],
-            "intermediate", config)
+        for kappa, variance in self.SELECTIONS:
+            config = merged_config(mpca={"kappa": kappa,
+                                         "variance_fraction": variance})
+            x, selected, models = fusion._imaging_features(
+                splits, small_study.labels(splits["train"]), [SA, FC],
+                "intermediate", config)
+
+            def concatenated(subjects):
+                latents = [np.stack([mpca.transform(model, s.tensors[m])
+                                     for s in subjects])
+                           for m, model in zip((SA, FC), models)]
+                return np.concatenate(latents, axis=3).reshape(len(subjects),
+                                                               -1)
+
+            self.assert_whole_matrix_selection(x, selected, kappa,
+                                               concatenated, splits)
+
+    def test_one_latent_blocks_rank_as_in_the_whole(self, small_study):
+        """numpy sums a lone column pairwise and a wider matrix row by row,
+        so two one-latent blocks, whose scores agree to the last bits here
+        (the four-chamber stacks are 31/42 of the short-axis ones), are
+        scored as columns of the whole and keep its pick."""
+        subjects = [dataclasses.replace(s, tensors={
+            SA: s.tensors[SA], FC: 31 / 42 * s.tensors[SA]})
+            for s in small_study.subjects]
+        study = StudyTable(subjects=subjects,
+                           feature_names=list(small_study.feature_names))
+        splits = fusion._splits(study)
+        config = merged_config(mpca={"kappa": 1, "variance_fraction": 1e-9})
+        x, selected, models = fusion._imaging_features(
+            splits, study.labels(splits["train"]), [SA, FC], "intermediate",
+            config)
+        assert [m.n_features for m in models] == [1, 1]
 
         def concatenated(subjects):
-            latents = [np.stack([mpca.transform(model, s.tensors[m])
-                                 for s in subjects])
-                       for m, model in zip((SA, FC), models)]
-            return np.concatenate(latents, axis=3).reshape(len(subjects), -1)
+            return np.stack([np.concatenate([
+                mpca.transform(model, s.tensors[m]).ravel()
+                for m, model in zip((SA, FC), models)]) for s in subjects])
 
-        train = concatenated(splits["train"])
-        order, _ = mpca.fisher_rank(train, [s.label for s in splits["train"]])
-        for tag in ("train", "validation", "test"):
-            expected = concatenated(splits[tag])[:, order]
-            assert x[tag].shape == expected.shape
-            assert x[tag].tobytes() == expected.tobytes(), tag
+        self.assert_whole_matrix_selection(x, selected, 1, concatenated,
+                                           splits)
+
+    def test_early_latents_equal_flattened_concatenation(self, small_study):
+        """The early-fusion twin: one block, the latents of each subject's
+        mode-3 concatenated stacks."""
+        splits = fusion._splits(small_study)
+        for kappa, variance in self.SELECTIONS:
+            config = merged_config(mpca={"kappa": kappa,
+                                         "variance_fraction": variance})
+            x, selected, (model,) = fusion._imaging_features(
+                splits, small_study.labels(splits["train"]), [SA, FC],
+                "early", config)
+
+            def flattened(subjects):
+                return mpca.transform_flat(model, [
+                    early_concat(s.tensors[SA], s.tensors[FC])
+                    for s in subjects])
+
+            self.assert_whole_matrix_selection(x, selected, kappa, flattened,
+                                               splits)
+
+    def test_intermediate_selection_never_builds_the_latent_matrix(
+            self, small_study):
+        """The intermediate branch's traced peak stays below one train
+        latent matrix of both modalities (the parent of block-by-block
+        selection peaked at 2.6 of them here)."""
+        splits = fusion._splits(small_study)
+        y = small_study.labels(splits["train"])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, _, models = fusion._imaging_features(splits, y, [SA, FC],
+                                                    "intermediate", FAST)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        n_features = sum(m.n_features for m in models)
+        assert peak < len(y) * n_features * 8
 
     def test_manifest_cv_null_under_fixed_c(self, small_study):
         result = run_plan(FusionPlan("early", [SA]), small_study, FAST)

@@ -318,7 +318,9 @@ def unblocked_fisher_rank(features, labels):
     return order, scores
 
 
-B = mpca.FISHER_BLOCK
+# a multiple of mpca.FISHER_BLOCK, so B - 1, B, B + 1 and 2B + 1 columns
+# end at, just short of or one column past a block edge
+B = 2048
 
 
 class TestFisherBlocked:
@@ -338,6 +340,7 @@ class TestFisherBlocked:
         # 150 rows: numpy sums a lone column pairwise, in blocks of 8, which
         # differs from the row-by-row sum of a wider block; on these seeds
         # a one-column tail block changes the B + 1 and 2B + 1 scores
+        assert B % mpca.FISHER_BLOCK == 0
         rng = np.random.default_rng(width + 1)
         x = rng.normal(size=(150, width)) * rng.uniform(0.5, 50.0, size=width)
         labels = rng.integers(0, 2, 150)
