@@ -25,7 +25,10 @@ benchmark's ``imaging_hires`` workload), ``mpca.transform_flat`` (224
 stacks of 48 x 48 x 8 onto 46 x 46 x 8), ``fusion._imaging_features``
 (the intermediate imaging branch of the default study below, short axis
 and four chamber: both MPCA fits, Fisher ranking and selection; the three
-splits' features and their layouts, and the models, are compared), ``gat.loss_and_grads`` (one
+splits' features and their layouts, and the models, are compared; and the
+same branch on 224 train, 56 validation and 56 test subjects whose two
+stacks are drawn from the 224 48 x 48 x 8 stacks of the ``mpca.fit``
+kernel, the ``imaging_hires`` shapes), ``gat.loss_and_grads`` (one
 epoch's loss and gradients on the graph ``stage_select_features`` builds
 from the default study below, with the default ``GatConfig``, parameters
 from ``init_params`` at a fixed seed and a dropout generator re-seeded
@@ -201,6 +204,7 @@ def inputs(mods: dict) -> dict:
     squash_labels = (squash_rng.random(SQUASH_N) < 0.4).astype(np.int64)
     squash_scores = (1.5 * squash_labels + squash_rng.normal(size=SQUASH_N)
                      - 0.5)
+    splits = mods["fusion"]._splits(study)
     return {"x": x, "y": y.astype(np.int64), "stacks": stacks,
             "tensor": stacks[0], "mats": mats,
             "warp_stacks": {h: rng.normal(size=(h, h, 8)) for h in (32, 48)},
@@ -210,8 +214,34 @@ def inputs(mods: dict) -> dict:
             "hires_stacks": hires, "cv": cv,
             "capped": (ehr_x[train], ehr_y[train]),
             "graph": graph, "gat_params": gat_params,
-            "default_dir": default_dir, "default_study": (study, cfg),
+            "default_dir": default_dir,
+            "default_splits": (splits, study.labels(splits["train"]), cfg),
+            "hires_splits": hires_splits(mods, hires, cfg),
             "squash": (squash_scores, squash_labels)}
+
+
+def hires_splits(mods: dict, stacks: list, cfg: dict) -> tuple:
+    """(splits, train labels, config) of an imaging branch on the 224
+    ``imaging_hires``-shaped ``stacks``: 224 train subjects whose short-axis
+    stack is one of them and four-chamber stack another, and 56 validation
+    and 56 test subjects drawn from them too (the stacks are shared, not
+    copied).  The labels come from a generator of their own."""
+    rng = np.random.default_rng(3)
+    n = len(stacks)
+
+    def subjects(tag, count):
+        picks = rng.permutation(n)[:count]
+        return [mods["data"].Subject(
+            id=f"{tag}{i}", label=int(rng.integers(0, 2)), split=tag,
+            tensors={"short_axis": stacks[i],
+                     "four_chamber": stacks[(i + n // 2) % n]})
+            for i in picks]
+
+    splits = {"train": subjects("train", n),
+              "validation": subjects("validation", 56),
+              "test": subjects("test", 56)}
+    labels = np.array([s.label for s in splits["train"]], dtype=np.int64)
+    return splits, labels, cfg
 
 
 SQUASH_N = 56  # scores of the metrics.fit_score_squash kernel
@@ -329,13 +359,16 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
     def rank():
         return list(mpca.fisher_rank(data["latents"], data["latent_labels"]))
 
-    def select():
-        study, cfg = data["default_study"]
-        config = mods["pipeline"].pipeline_config(cfg, CV_EHR_COLUMNS)
-        splits = mods["fusion"]._splits(study)
-        x, kappa, models = mods["fusion"]._imaging_features(
-            splits, study.labels(splits["train"]),
-            ["short_axis", "four_chamber"], "intermediate", config)
+    def select(splits, labels, cfg):
+        def fn():
+            config = mods["pipeline"].pipeline_config(cfg, CV_EHR_COLUMNS)
+            x, kappa, models = mods["fusion"]._imaging_features(
+                splits, labels, ["short_axis", "four_chamber"],
+                "intermediate", config)
+            return imaging_outputs(x, kappa, models)
+        return fn
+
+    def imaging_outputs(x, kappa, models):
         # each split's layout too: decision_scores' sums depend on it
         out = [np.array([kappa])]
         for tag in ("train", "validation", "test"):
@@ -401,7 +434,11 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
                                " per call", epoch, GAT_CALLS),
         "mpca.fisher_rank": ("224 x 33,856", rank, 1),
         "fusion._imaging_features": ("seed-0 default study, intermediate"
-                                     " short_axis + four_chamber", select, 1),
+                                     " short_axis + four_chamber",
+                                     select(*data["default_splits"]), 1),
+        "fusion._imaging_features 48x48x8": (
+            "224 / 56 / 56 subjects of 48x48x8 stacks, intermediate"
+            " short_axis + four_chamber", select(*data["hires_splits"]), 1),
         "mpca.transform_flat": ("224 x 48x48x8 onto 46x46x8",
                                 project, 1),
         "data.load_study": ("generated default study, seed 0, 400 subjects,"

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .registration import MODALITIES, N_LANDMARKS, LandmarkSet
+from .registration import MODALITIES, N_LANDMARKS, LandmarkSet, collinear
 
 TENSOR_MAGIC = b"HFT1"
 TENSOR_VERSION = 1
@@ -153,9 +153,10 @@ def load_study(directory) -> StudyTable:
     raises StudyFormatError naming the file (and the subject, for a bad
     row; a landmark row's modality must be one of ``MODALITIES``).
     Subjects missing an EHR row, a required tensor, labels or landmarks,
-    or with a stack whose dims differ from the study's (the modality's
-    most common dims), are excluded and reported, so every subject id in
-    any of the three files is either loaded or in ``exclusions``.
+    with a collinear landmark triple (it determines no registration), or
+    with a stack whose dims differ from the study's (the modality's most
+    common dims), are excluded and reported, so every subject id in any
+    of the three files is either loaded or in ``exclusions``.
     """
     directory = Path(directory)
     ehr_path = directory / "ehr.csv"
@@ -235,6 +236,9 @@ def load_study(directory) -> StudyTable:
                 bad = f"expected {N_LANDMARKS} {modality} landmarks, got {len(entries)}"
                 break
             ordered = [entries[j] for j in range(N_LANDMARKS)]
+            if collinear([(x, y) for x, y, _ in ordered]):
+                bad = f"collinear {modality} landmarks"  # no affine map
+                break
             lms[modality] = LandmarkSet(
                 subject_id=sid,
                 modality=modality,

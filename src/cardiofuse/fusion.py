@@ -203,16 +203,19 @@ def _imaging_features(splits, y_train: np.ndarray, modalities: list[str],
     map), flattened.  Its B blocks, the one composed block of early fusion
     or one per modality for intermediate fusion, share the latent dims
     J1 x J2 x J3, and block i's column (j1, j2, k) is column
-    ((j1 J2 + j2) B + i) J3 + k of the whole.  Each block of train latents
-    is projected and Fisher-ranked on its own, keeps its top ``kappa``
-    columns as candidates and is freed.  A block's columns keep their
-    relative order in the whole, so its candidates hold its share of the
-    whole's top ``kappa``, which is picked from them by descending score,
-    then column, as ``mpca.fisher_rank`` ranks.  Validation and test
-    subjects are projected block by block straight into their selected
-    columns.  So scores, ranking and values are those of ``fisher_rank``
-    on the whole matrix and ``x[:, order[:kappa]]``, in that indexing's
-    Fortran-order layout, on which ``decision_scores``' sums depend.
+    ((j1 J2 + j2) B + i) J3 + k of the whole.  Each block's MPCA fit hands
+    back its train latents, made by its last pass (``mpca.fit(...,
+    latents=True)``), which are Fisher-ranked on their own, keep their top
+    ``kappa`` columns as candidates and are freed before the next block is
+    fit, so one block's latents are alive at a time.  A block's columns
+    keep their relative order in the whole, so its candidates hold its
+    share of the whole's top ``kappa``, which is picked from them by
+    descending score, then column, as ``mpca.fisher_rank`` ranks.
+    Validation and test subjects are projected block by block straight
+    into their selected columns.  So scores, ranking and values are those
+    of ``fisher_rank`` on the whole matrix and ``x[:, order[:kappa]]``, in
+    that indexing's Fortran-order layout, on which ``decision_scores``'
+    sums depend.
 
     Returns ``(features, kappa, models)``: the feature matrix of each split
     tag, the feature count, and the fitted MPCA models, one per block.
@@ -233,9 +236,7 @@ def _imaging_features(splits, y_train: np.ndarray, modalities: list[str],
                 t = early_concat(t, other)
             return t
         train_blocks = [[block(ts, 0) for ts in train_stacks]]
-        models = [mpca.fit(train_blocks[0],
-                           variance_fraction=config.variance_fraction,
-                           max_iters=config.iters)]
+        shared = None
     elif mode == "intermediate":
         def block(stacks, i):
             return stacks[i]
@@ -249,25 +250,22 @@ def _imaging_features(splits, y_train: np.ndarray, modalities: list[str],
         ]
         # shared latent dims so the latent concatenation lines up
         shared = tuple(max(dims[d] for dims in first_pass) for d in range(3))
-        models = [
-            mpca.fit(tensors, variance_fraction=config.variance_fraction,
-                     max_iters=config.iters, target_dims=shared)
-            for tensors in train_blocks
-        ]
     else:
         raise ValueError(f"unknown imaging fusion mode {mode!r}")
 
-    n_blocks, width = len(models), models[0].n_features
-    kappa = min(config.kappa, n_blocks * width)
-    if kappa < 1:
-        raise ValueError(f"kappa={kappa} out of range for"
-                         f" {n_blocks * width} features")
+    n_blocks = len(train_blocks)
+    if config.kappa < 1:
+        raise ValueError(f"kappa={config.kappa} must be at least 1")
 
-    def candidates(i):
-        """Block i's top ``kappa`` local columns, their scores and their
-        train values; its latents are freed on return."""
-        flat = mpca.transform_flat(models[i], train_blocks[i])
-        if width == 1 and n_blocks > 1:
+    def candidates(tensors):
+        """Block ``tensors``' MPCA model, and its top ``kappa`` local
+        columns with their scores and train values; the fit's latents are
+        freed on return, before the next block is fit."""
+        model, flat = mpca.fit(tensors,
+                               variance_fraction=config.variance_fraction,
+                               max_iters=config.iters, target_dims=shared,
+                               latents=True)
+        if flat.shape[1] == 1 and n_blocks > 1:
             # fisher_rank sums one column pairwise and a wider matrix row
             # by row: beside a copy of itself a column is scored as in the
             # whole matrix
@@ -275,11 +273,13 @@ def _imaging_features(splits, y_train: np.ndarray, modalities: list[str],
             score = mpca.fisher_rank(np.hstack([flat, flat]), y_train)[1][:1]
         else:
             order, score = mpca.fisher_rank(flat, y_train)
-        keep = order[:kappa]
-        return keep, score[keep], flat[:, keep]
+        keep = order[:config.kappa]
+        return model, keep, score[keep], flat[:, keep]
 
-    local, scores, values = zip(*(candidates(i) for i in range(n_blocks)))
+    models, local, scores, values = zip(*(candidates(tensors)
+                                          for tensors in train_blocks))
     del train_blocks  # early fusion's composed stacks
+    kappa = min(config.kappa, n_blocks * models[0].n_features)
     owner = np.repeat(np.arange(n_blocks), [len(keep) for keep in local])
     local = np.concatenate(local)
     j3 = models[0].target_dims[2]
@@ -300,7 +300,7 @@ def _imaging_features(splits, y_train: np.ndarray, modalities: list[str],
     features = {"train": np.hstack(values)[:, pick]}
     for tag in ("validation", "test"):
         features[tag] = select(splits[tag])
-    return features, kappa, models
+    return features, kappa, list(models)
 
 
 def _ehr_features(splits, study: StudyTable, config: PipelineConfig):

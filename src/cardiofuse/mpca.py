@@ -5,11 +5,14 @@ total scatter of the projected, mean-centered samples.  Projected tensors
 are flattened in canonical layout and ranked with per-feature Fisher
 scores; only the top ``kappa`` features feed the classifier.  The scatter
 the projections capture is read off the scatter matrices the fit computes
-anyway, as ``trace(U_n^T S_n U_n)``; the samples are never projected
-through all three modes during a fit.  The samples are centred once, in
+anyway, as ``trace(U_n^T S_n U_n)``.  The samples are centred once, in
 one stacked array, and each one's scatter contribution is added in place;
 no projected scatter copies a transposed unfolding
-(``tensor3.projected_unfolding``).
+(``tensor3.projected_unfolding``).  The last refinement pass projects each
+sample along modes 1 and 2 once, keeping the products in the stack, and a
+fit asked for its training latents finishes them there with one mode-3
+product per sample: they are ``transform_flat``'s bytes, with no second
+projection of the training samples and no second latent matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor3 import mode_n_product, projected_unfolding
+from .tensor3 import _product, mode_n_product, projected_unfolding
 
 DEFAULT_VARIANCE_FRACTION = 0.97
 
@@ -67,17 +70,66 @@ def _top_eigvecs(scatter: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarra
     return vals, _fix_sign(vecs[:, :count])
 
 
+def _add_scatter(scatter: np.ndarray | None,
+                 unfolded: np.ndarray) -> np.ndarray:
+    """``scatter + A @ A.T`` for the unfolding ``A``, added in place once
+    ``scatter`` exists."""
+    if scatter is None:
+        return unfolded @ unfolded.T
+    scatter += unfolded @ unfolded.T
+    return scatter
+
+
 def _mode_scatter(samples: np.ndarray, mode: int,
                   projections: list[np.ndarray | None]) -> np.ndarray:
     """Mode-``mode`` scatter matrix after projecting along the other modes."""
     scatter = None
     for s in samples:
-        unfolded = projected_unfolding(s, projections, mode)
-        if scatter is None:
-            scatter = unfolded @ unfolded.T
-        else:
-            scatter += unfolded @ unfolded.T
+        scatter = _add_scatter(scatter,
+                               projected_unfolding(s, projections, mode))
     return scatter
+
+
+def _kept_mode1_scatter(stack: np.ndarray, projections) -> np.ndarray:
+    """The mode-2 scatter; each sample of ``stack`` is overwritten, from
+    its start, with its ``q = s x1 U1^T``."""
+    u1, _, u3 = projections
+    scatter = None
+    for s in stack:
+        q = _product(s, u1.T, 1)
+        scatter = _add_scatter(scatter,
+                               projected_unfolding(q, [None, None, u3], 2))
+        s.reshape(-1)[:q.size] = q.ravel()
+    return scatter
+
+
+def _kept_mode2_scatter(stack: np.ndarray, projections) -> np.ndarray:
+    """The mode-3 scatter from the kept ``q``; each sample of ``stack`` is
+    overwritten, from its start, with its ``q x2 U2^T``."""
+    j1, u2 = projections[0].shape[1], projections[1]
+    scatter = None
+    for s in stack:
+        row = s.reshape(-1)
+        q = row[:j1 * s[0].size].reshape(j1, *s.shape[1:])
+        # the transposed view of the product, whose rows are (J1 J2, I3)
+        unfolded = projected_unfolding(q, [None, u2, None], 3)
+        scatter = _add_scatter(scatter, unfolded)
+        row[:unfolded.size] = unfolded.T.ravel()
+    return scatter
+
+
+def _kept_latents(stack: np.ndarray, projections) -> np.ndarray:
+    """The (M, J1 J2 J3) latents from the kept ``q x2 U2^T``, one mode-3
+    product each, as a view of ``stack``'s first M J1 J2 J3 entries.
+    Sample r's latent goes to the r-th J1 J2 J3 entries, which end before
+    sample r + 1 starts."""
+    j1, j2, j3 = (u.shape[1] for u in projections)
+    width, flat = j1 * j2 * j3, stack.reshape(-1)
+    for r, s in enumerate(stack):
+        p = s.reshape(-1)[:j1 * j2 * s.shape[2]].reshape(j1, j2, -1)
+        flat[r * width:(r + 1) * width] = _product(
+            p, projections[2].T, 3).ravel()
+    return flat[:len(stack) * width].reshape(len(stack), width)
 
 
 def _captured(scatter: np.ndarray, u: np.ndarray) -> float:
@@ -89,7 +141,8 @@ def _captured(scatter: np.ndarray, u: np.ndarray) -> float:
 def fit(samples: list[np.ndarray],
         variance_fraction: float = DEFAULT_VARIANCE_FRACTION,
         max_iters: int = 1,
-        target_dims: tuple[int, int, int] | None = None) -> MpcaModel:
+        target_dims: tuple[int, int, int] | None = None,
+        latents: bool = False):
     """Learn mode-wise projections maximizing the total projected scatter.
 
     Each projection is initialized from the top eigenvectors of the full
@@ -103,6 +156,13 @@ def fit(samples: list[np.ndarray],
     the first pass's mode-1 scatter gives the entry before it, and each
     pass's mode-3 scatter the entry after it (with ``max_iters=0`` that
     one mode-1 scatter is still computed, for the single entry).
+
+    Returns the model, or with ``latents`` the pair ``(model, latents)``,
+    where ``latents`` is byte for byte ``transform_flat(model, samples)``:
+    the last pass's mode-1 and mode-2 products, finished by one mode-3
+    product each, in the memory of the fit's centred stack (with
+    ``max_iters=0`` there is no such pass, and ``transform_flat`` is
+    called).
     """
     if len(samples) < 2:
         raise ValueError("MPCA needs at least 2 samples")
@@ -139,20 +199,33 @@ def fit(samples: list[np.ndarray],
     scatter = _mode_scatter(centered, 1, projections)
     trace = [_captured(scatter, projections[0])]
     for it in range(max_iters):
+        last = it == max_iters - 1
         for n in (1, 2, 3):
-            if it or n > 1:  # the first pass starts from the scatter above
+            # the first pass starts from the scatter above; the last one
+            # keeps each sample's products in its row of the stack, which
+            # no later pass reads whole
+            if last and n == 2:
+                scatter = _kept_mode1_scatter(centered, projections)
+            elif last and n == 3:
+                scatter = _kept_mode2_scatter(centered, projections)
+            elif it or n > 1:
                 scatter = _mode_scatter(centered, n, projections)
             _, vecs = _top_eigvecs(scatter, projections[n - 1].shape[1])
             projections[n - 1] = vecs
         trace.append(_captured(scatter, projections[2]))
 
-    return MpcaModel(
+    model = MpcaModel(
         projections=projections,
         mean_tensor=mean_tensor,
         target_dims=tuple(u.shape[1] for u in projections),
         variance_fraction=variance_fraction,
         scatter_trace=trace,
     )
+    if not latents:
+        return model
+    if max_iters == 0:
+        return model, transform_flat(model, samples)
+    return model, _kept_latents(centered, projections)
 
 
 def transform(model: MpcaModel, t: np.ndarray) -> np.ndarray:
@@ -226,10 +299,13 @@ def fisher_rank(features: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
             np.square(xc, out=xc)
             within[start:stop] += n_c * (xc.sum(axis=0) / n_c)
             del xc  # one class copy alive at a time
-    scores = np.where(
-        between == 0.0, 0.0, between / np.maximum(within, _FISHER_VAR_FLOOR)
-    )
-    order = np.lexsort((np.arange(len(scores)), -scores))
+    # the score arithmetic in place in ``within``
+    np.maximum(within, _FISHER_VAR_FLOOR, out=within)
+    scores = np.divide(between, within, out=within)
+    scores[between == 0.0] = 0.0
+    del between
+    # a stable sort keeps equal scores in column order
+    order = np.argsort(-scores, kind="stable")
     return order, scores
 
 

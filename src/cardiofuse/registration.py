@@ -66,9 +66,15 @@ class AffineTransform:
         return AffineTransform(matrix=inv, offset=-inv @ self.offset)
 
 
-def _triangle_det(points: np.ndarray) -> float:
-    a, b, c = points
-    return float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+def collinear(points) -> bool:
+    """Whether a landmark triple is (numerically) collinear: its triangle's
+    doubled area is below 1e-9 of its squared coordinate span (at least
+    1), so no affine map is determined by it."""
+    (ax, ay), (bx, by), (cx, cy) = points
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    coords = (ax, ay, bx, by, cx, cy)
+    scale = max(float(max(coords) - min(coords)), 1.0)
+    return abs(float(det)) < 1e-9 * scale * scale
 
 
 def affine_from_landmarks(src_points, template_points, *,
@@ -83,8 +89,7 @@ def affine_from_landmarks(src_points, template_points, *,
     src = np.asarray(src_points, dtype=np.float64).reshape(N_LANDMARKS, 2)
     dst = np.asarray(template_points, dtype=np.float64).reshape(N_LANDMARKS, 2)
     for pts, name in zip((src, dst), names):
-        scale = max(float(np.ptp(pts)), 1.0)
-        if abs(_triangle_det(pts)) < 1e-9 * scale * scale:
+        if collinear(pts):
             raise DegenerateLandmarksError(f"{name} landmarks are collinear")
     # [x y 1] @ P = [x' y'] for each correspondence; P is (3, 2)
     design = np.hstack([src, np.ones((N_LANDMARKS, 1))])

@@ -31,9 +31,10 @@ FAST_OVERRIDES = {
 }
 
 
-def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+def run_python(*args: str, cwd=None,
+               env_extra=None) -> subprocess.CompletedProcess:
     """A fresh interpreter with this tree's ``src`` first on the path."""
-    env = dict(os.environ)
+    env = dict(os.environ, **(env_extra or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
@@ -174,6 +175,40 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the GAT's feature selection depends on the BLAS thread count: on the"
+    " seed-0 default study the selected EHR columns differ at 1 and 2"
+    " threads, and so does every result downstream of them"))
+def test_default_run_is_byte_identical_at_one_and_two_blas_threads(
+        tmp_path):
+    """The seed-0 default study, generated once, run in two fresh
+    processes that differ only in the BLAS thread count."""
+    data = tmp_path / "data"
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"out{threads}"
+        path = tmp_path / f"config{threads}.json"
+        path.write_text(json.dumps({"data_dir": str(data),
+                                    "out_dir": str(out)}), encoding="utf-8")
+        if threads == 1:
+            assert cli.main(["generate", "--config", str(path)]) == 0
+        proc = run_python("-m", "cardiofuse.cli", "run", "--config",
+                          str(path), env_extra={
+                              "OPENBLAS_NUM_THREADS": str(threads),
+                              "OMP_NUM_THREADS": str(threads)})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out)
+    # the manifest holds the run's own times, peak memory and out_dir
+    names = sorted(p.name for p in outputs[0].iterdir()
+                   if p.name != "manifest.json")
+    assert names == sorted(p.name for p in outputs[1].iterdir()
+                           if p.name != "manifest.json")
+    differ = [n for n in names if (outputs[0] / n).read_bytes()
+              != (outputs[1] / n).read_bytes()]
+    assert differ == []
+
+
 class TestRunCommand:
     def test_all_stages_disabled_exits_zero(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -271,6 +306,24 @@ class TestRunCommand:
         cfg_path = write_config(tmp_path)
         assert cli.main(["generate", "--config", str(cfg_path)]) == 0
         landmarks = tmp_path / "data" / "landmarks.csv"
+        header, first, *rows = landmarks.read_text().splitlines()
+        sid, *cells = first.split(",")
+        cells[2] = "n/a"  # the x of the subject's first landmark
+        landmarks.write_text("\n".join([header, ",".join([sid, *cells]),
+                                        *rows]) + "\n")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        error = f"{landmarks}: subject {sid!r}: x 'n/a' is not a finite number"
+        assert capsys.readouterr().err.startswith(
+            f"run failed in load: {error}")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "load"
+        assert manifest["error"] == f"StudyFormatError: {error}"
+        assert manifest["stages"] == []
+
+    def test_collinear_landmarks_exclude_the_subject(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["generate", "--config", str(cfg_path)]) == 0
+        landmarks = tmp_path / "data" / "landmarks.csv"
         header, *rows = landmarks.read_text().splitlines()
         sid, modality = rows[0].split(",")[:2]
         bad = []
@@ -280,14 +333,14 @@ class TestRunCommand:
                 cells[3] = cells[4] = str(float(cells[2]))
             bad.append(",".join(cells))
         landmarks.write_text("\n".join([header, *bad]) + "\n")
-        assert cli.main(["run", "--config", str(cfg_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"run failed in preprocess: subject {sid}")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["failed_stage"] == "preprocess"
-        assert manifest["error"] == (f"DegenerateLandmarksError: subject {sid}"
-                                     f" {modality} landmarks are collinear")
-        assert [s["name"] for s in manifest["stages"]] == ["load"]
+        assert "failed_stage" not in manifest
+        assert manifest["load"]["exclusions"] == [
+            {"subject_id": sid, "reason": f"collinear {modality} landmarks"}]
+        assert [s["name"] for s in manifest["stages"]] == [
+            "load", "preprocess", "filtering", "select_features", "train",
+            "evaluate", "dca"]
 
     def test_run_manifest_records_cv_curve_and_mpca(self, tmp_path):
         cfg_path = write_config(tmp_path, svm={"fixed_c": None, "epochs": 5,

@@ -101,7 +101,8 @@ def write_fixture_study(root: Path, n=3, missing_tensor_for=None,
         for sid in sids:
             for modality in ("short_axis", "four_chamber"):
                 for j in range(3):
-                    w.writerow([sid, modality, j, 5.0 + j, 3.0 + 2 * j, 0.2])
+                    w.writerow([sid, modality, j, 5.0 + j, 3.0 + 2 * j * j,
+                                0.2])
     for sid in sids:
         for modality in ("short_axis", "four_chamber"):
             if sid == missing_tensor_for and modality == "four_chamber":
@@ -161,6 +162,24 @@ class TestLoadStudy:
         table = load_study(tmp_path)
         assert [s.id for s in table.subjects] == ["p0", "p1"]
         assert ("p2", "missing label") in table.exclusions
+
+    @pytest.mark.parametrize("points", [
+        [(5.0, 3.0), (6.0, 5.0), (7.0, 7.0)],
+        [(5.0, 3.0), (5.0, 3.0), (9.0, 1.0)],
+        [(2.0, 2.0), (2.0, 2.0), (2.0, 2.0)],
+    ], ids=["on-a-line", "two-coincide", "all-coincide"])
+    def test_collinear_landmarks_go_to_exclusions(self, tmp_path, points):
+        write_fixture_study(tmp_path)
+        path = tmp_path / "landmarks.csv"
+        rows = _csv_rows(path)
+        for row in rows[1:]:
+            if row[:2] == ["p1", "four_chamber"]:
+                row[3:5] = points[int(row[2])]
+        _write_csv_rows(path, rows)
+        table = load_study(tmp_path)
+        assert [s.id for s in table.subjects] == ["p0", "p2"]
+        assert table.exclusions == [("p1", "collinear four_chamber"
+                                           " landmarks")]
 
     def test_duplicate_subject_rejected(self, tmp_path):
         write_fixture_study(tmp_path)
@@ -295,15 +314,16 @@ def fuzz_study(tmp_path_factory) -> Path:
 def _mutate(root: Path, draw) -> tuple[str, str | None]:
     """Apply one drawn mutation to the study at ``root``.
 
-    Returns the mutation's kind and, for an off-shape tensor or a row of a
-    subject with no EHR row, the subject that must be excluded (None if
-    the drawn dims happen to be the study's); every other kind must raise
-    StudyFormatError.
+    Returns the mutation's kind and, for an off-shape tensor, a row of a
+    subject with no EHR row or a collinear landmark triple, the subject
+    that must be excluded (None if the drawn dims happen to be the
+    study's); every other kind must raise StudyFormatError.
     """
     kind = draw(st.sampled_from(["truncated_tensor", "ragged_row",
                                  "non_finite_cell", "landmark_id",
                                  "negative_uncertainty", "off_shape",
-                                 "unknown_modality", "no_ehr_row"]))
+                                 "unknown_modality", "no_ehr_row",
+                                 "collinear"]))
     if kind in ("truncated_tensor", "off_shape"):
         path = draw(st.sampled_from(sorted((root / "tensors").iterdir())))
         if kind == "truncated_tensor":
@@ -316,7 +336,7 @@ def _mutate(root: Path, draw) -> tuple[str, str | None]:
         return kind, (None if dims == (6, 6, 2)
                       else path.name.split("_", 1)[0])
     name = ("landmarks.csv" if kind in ("landmark_id", "negative_uncertainty",
-                                        "unknown_modality")
+                                        "unknown_modality", "collinear")
             else "ehr.csv" if kind == "no_ehr_row"
             else draw(st.sampled_from(sorted(NUMERIC_COLUMNS))))
     rows = _csv_rows(root / name)
@@ -324,6 +344,16 @@ def _mutate(root: Path, draw) -> tuple[str, str | None]:
     if kind == "no_ehr_row":
         # the subject keeps its label and landmark rows
         rows.remove(row)
+        _write_csv_rows(root / name, rows)
+        return kind, row[0]
+    if kind == "collinear":
+        # the subject's three points of this modality on one line
+        x, y = float(row[3]), float(row[4])
+        step = draw(st.sampled_from([(0.0, 0.0), (1.0, 0.0), (1.0, -2.5)]))
+        for other in rows[1:]:
+            if other[:2] == row[:2]:
+                j = int(other[2])
+                other[3:5] = [x + j * step[0], y + j * step[1]]
         _write_csv_rows(root / name, rows)
         return kind, row[0]
     if kind == "ragged_row":
@@ -360,7 +390,7 @@ class TestLoadStudyFuzz:
             root = Path(tmp) / "study"
             shutil.copytree(fuzz_study, root)
             kind, excluded = _mutate(root, data.draw)
-            if kind not in ("off_shape", "no_ehr_row"):
+            if kind not in ("off_shape", "no_ehr_row", "collinear"):
                 with pytest.raises(StudyFormatError):
                     load_study(root)
                 return

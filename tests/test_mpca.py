@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from cardiofuse import mpca
+from cardiofuse.fusion import early_concat
 from cardiofuse.tensor3 import (frobenius_sq, mode_n_fold, mode_n_product,
                                 mode_n_unfold, multi_mode_product)
 
@@ -412,6 +413,71 @@ class TestTransformFlat:
         assert out.tobytes() == expected.tobytes()
 
 
+
+def early_pairs(n, dims, seed):
+    """``n`` 2 x ``dims[2]``-frame stacks, as early fusion composes them."""
+    first = random_samples(n, dims, seed)
+    second = random_samples(n, dims, seed + 1)
+    return [early_concat(a, b) for a, b in zip(first, second)]
+
+
+class TestFitLatents:
+    """``fit(..., latents=True)`` returns the plain fit's model and, from
+    its last pass's own products, ``transform_flat``'s bytes."""
+
+    @pytest.mark.parametrize("samples, target_dims, max_iters", [
+        (random_samples(9, (5, 4, 3), seed=35), None, 1),
+        (random_samples(16, (6, 5, 7), seed=36), (3, 2, 4), 0),
+        (random_samples(16, (6, 5, 7), seed=36), (3, 2, 4), 1),
+        (random_samples(16, (6, 5, 7), seed=36), (3, 2, 4), 2),
+        (random_samples(12, (4, 3, 5), seed=37), (4, 3, 5), 1),
+        (early_pairs(20, (10, 10, 8), seed=38), None, 1),
+        (random_samples(30, (48, 48, 8), seed=39), None, 1),
+    ], ids=["5x4x3", "J<I-iters0", "J<I-iters1", "J<I-iters2", "J=I",
+            "early-16-frames", "30x48x48x8"])
+    def test_latents_are_transform_flat(self, samples, target_dims,
+                                        max_iters):
+        plain = mpca.fit(samples, max_iters=max_iters,
+                         target_dims=target_dims)
+        model, latents = mpca.fit(samples, max_iters=max_iters,
+                                  target_dims=target_dims, latents=True)
+        assert model.target_dims == plain.target_dims
+        assert model.scatter_trace == plain.scatter_trace
+        for u, ref in zip(model.projections, plain.projections):
+            assert u.shape == ref.shape and u.tobytes() == ref.tobytes()
+        expected = mpca.transform_flat(model, samples)
+        assert latents.dtype == expected.dtype
+        assert latents.shape == expected.shape
+        assert latents.flags.c_contiguous
+        assert latents.tobytes() == expected.tobytes()
+
+    def test_no_second_projection(self, monkeypatch):
+        def transform(*args):
+            raise AssertionError("a train sample was projected again")
+        monkeypatch.setattr(mpca, "transform", transform)
+        model, latents = mpca.fit(random_samples(9, (5, 4, 3), seed=35),
+                                  target_dims=(3, 2, 2), latents=True)
+        assert latents.shape == (9, model.n_features)
+
+    def test_samples_untouched(self):
+        samples = random_samples(9, (5, 4, 3), seed=35)
+        copies = [s.copy() for s in samples]
+        mpca.fit(samples, target_dims=(3, 2, 2), latents=True)
+        for s, c in zip(samples, copies):
+            assert s.tobytes() == c.tobytes()
+
+    def test_peak_is_the_plain_fit_peak(self):
+        samples = random_samples(60, (24, 24, 8), seed=40)
+        plain, _ = traced_peak(
+            lambda: mpca.fit(samples, target_dims=(22, 22, 6)))
+        peak, (_, latents) = traced_peak(
+            lambda: mpca.fit(samples, target_dims=(22, 22, 6), latents=True))
+        # the latents live in the fit's centred stack: no second M x F
+        # matrix (here 0.76 of the stack) is built
+        assert peak < plain + samples[0].nbytes
+        assert latents.nbytes > 0.5 * len(samples) * samples[0].nbytes
+
+
 class TestSelectTop:
     def setup_method(self):
         rng = np.random.default_rng(12)
@@ -447,6 +513,7 @@ FIT_IN_CHILD = """
 import hashlib
 import numpy as np
 from cardiofuse import mpca
+from cardiofuse.fusion import early_concat
 
 rng = np.random.default_rng(40)
 basis = rng.normal(size=(48, 48, 8))
