@@ -519,16 +519,17 @@ rng = np.random.default_rng(40)
 basis = rng.normal(size=(48, 48, 8))
 stacks = [basis * rng.normal() + 0.3 * rng.normal(size=(48, 48, 8))
           for _ in range(40)]
-model = mpca.fit(stacks, max_iters=1)
+model, latents = mpca.fit(stacks, max_iters=1, latents=True)
 for array in (*model.projections, np.array(model.scatter_trace),
-              mpca.transform_flat(model, stacks)):
+              mpca.transform_flat(model, stacks), latents):
     print(array.shape, hashlib.sha256(array.tobytes()).hexdigest())
 """
 
 
 class TestBlasThreadCount:
-    """The fit and the projection do not depend on how many threads BLAS
-    uses, on the 48x48x8 stacks of the benchmark's imaging workload."""
+    """The fit, its train latents and the projection do not depend on how
+    many threads BLAS uses, on the 48x48x8 stacks of the benchmark's
+    imaging workload."""
 
     @staticmethod
     def fit_in_child(threads: int) -> str:
@@ -544,5 +545,5 @@ class TestBlasThreadCount:
 
     def test_fit_and_transform_equal_at_one_and_two_threads(self):
         one = self.fit_in_child(1)
-        assert len(one.splitlines()) == 5
+        assert len(one.splitlines()) == 6
         assert one == self.fit_in_child(2)
