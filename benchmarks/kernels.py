@@ -17,7 +17,8 @@ default ``cardiofuse run`` at seed 0), ``mpca.fit`` (280 stacks of
 the scatter trace are compared) and ``tensor3.mode_n_product`` (a
 32 x 32 x 8 stack by a 30 x 32, 30 x 32 and 8 x 8 matrix along modes 1, 2
 and 3), ``registration.warp_stack`` (a 32 x 32 x 8 and a 48 x 48 x 8 stack
-under a small rotation, scaling and shift, as in ``register_stack``;
+under a small rotation, scaling and shift, as in ``register_stack``, and
+the 48 x 48 x 8 stack's float32 values, as a study holds them;
 the 100 outputs of a sample are all kept until it ends, as a run keeps
 its registered stacks),
 ``mpca.fisher_rank`` (224 x 33,856, the shape of the train latents of the
@@ -71,6 +72,11 @@ of each tree's (a, b), and ``bit_identical`` compares what a run writes
 from them, the decision curve of the 56 scores' risks: a fit by another
 method can agree with the baseline's (a, b) to 1e-6 but not in every bit.
 The generator's output is the sha256 of every file it wrote.
+``values_equal`` says whether the outputs hold equal values whatever
+their dtype (NaN equal to NaN, as in the EHR cells ``load_study`` leaves
+missing): a tree that returns float32 where the other returns float64
+reads ``bit_identical`` false but ``values_equal`` true when every value
+survives the rounding.
 After the timed rounds each kernel runs once more per tree under
 ``tracemalloc``, which numpy reports its allocations to; ``<tree>_peak_mib``
 is the peak it allocated above what was allocated when it started (null for
@@ -338,12 +344,12 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
                    for n, m in data["mats"].items()]
         return out
 
-    def warp(h):
+    def warp(stack):
         # every output stays alive until the loop ends, as the registered
         # stacks of a run do: a loop that dropped each one would time the
         # heap handing its pages back to the system as much as the gather
         def fn():
-            return [registration.warp_stack(data["warp_stacks"][h], affine)
+            return [registration.warp_stack(stack, affine)
                     for _ in range(WARP_CALLS)]
         return fn
 
@@ -426,10 +432,13 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
                              fit(data["hires_stacks"]), 1),
         "tensor3.mode_n_product": ("32x32x8 by 30x32 / 30x32 / 8x8, per call",
                                    products, PRODUCT_CALLS),
-        "registration.warp_stack 32x32x8": ("32x32x8, per call", warp(32),
-                                            WARP_CALLS),
-        "registration.warp_stack 48x48x8": ("48x48x8, per call", warp(48),
-                                            WARP_CALLS),
+        "registration.warp_stack 32x32x8": (
+            "32x32x8, per call", warp(data["warp_stacks"][32]), WARP_CALLS),
+        "registration.warp_stack 48x48x8": (
+            "48x48x8, per call", warp(data["warp_stacks"][48]), WARP_CALLS),
+        "registration.warp_stack 48x48x8 float32": (
+            "48x48x8 float32, per call",
+            warp(data["warp_stacks"][48].astype(np.float32)), WARP_CALLS),
         "gat.loss_and_grads": ("seed-0 default graph, default GatConfig,"
                                " per call", epoch, GAT_CALLS),
         "mpca.fisher_rank": ("224 x 33,856", rank, 1),
@@ -561,6 +570,9 @@ def main(argv=None) -> int:
             entry["bit_identical"] = None if current is None else all(
                 a.dtype == b.dtype and a.shape == b.shape
                 and a.tobytes() == b.tobytes()
+                for a, b in zip(current, baseline))
+            entry["values_equal"] = None if current is None else all(
+                np.array_equal(a, b, equal_nan=True)
                 for a, b in zip(current, baseline))
         results[name] = entry
         print(f"{name:<32} " + "  ".join(

@@ -11,7 +11,11 @@ A study directory holds:
   and a numeric ordering key for the chronological split;
 - ``landmarks.csv`` -- ``subject_id,modality,landmark_id,x,y,uncertainty``.
 
-Values are stored in float32 but all in-memory arithmetic is float64.
+Tensor values are stored in float32 and held in memory at that precision:
+``read_tensor`` returns float32 arrays, and registration keeps a float32
+stack float32.  Arithmetic on them is float64: registration, MPCA and
+the mode products widen what they compute with.  EHR values, labels and
+landmarks are float64.
 """
 
 from __future__ import annotations
@@ -39,18 +43,32 @@ class StudyFormatError(ValueError):
 # --- tensor files ----------------------------------------------------------
 
 def write_tensor(path, t: np.ndarray) -> None:
+    """Write ``t`` as a tensor file; its values are rounded to float32.
+
+    Raises ValueError for a tensor that is not third-order, holds a
+    non-finite value, or holds a value beyond float32 range, which would
+    be written as an infinity that ``read_tensor`` rejects.
+    """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
         raise ValueError("tensor files hold third-order tensors")
     if not np.all(np.isfinite(t)):
         raise ValueError("refusing to write non-finite tensor values")
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(t, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        peak = float(np.max(np.abs(t)))
+        raise ValueError(f"refusing to write tensor values that overflow"
+                         f" float32 (|value| up to {peak:.6g})")
     with open(path, "wb") as f:
         f.write(TENSOR_MAGIC)
         f.write(struct.pack("<IIII", TENSOR_VERSION, *t.shape))
-        f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+        f.write(payload.tobytes())
 
 
 def read_tensor(path) -> np.ndarray:
+    """The tensor stored at ``path``, as a float32 array of its stored
+    values; a malformed file raises StudyFormatError naming it."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 20:
@@ -64,7 +82,7 @@ def read_tensor(path) -> np.ndarray:
     if len(raw) - 20 != 4 * i1 * i2 * i3:
         raise StudyFormatError(f"{path}: payload of {len(raw) - 20} bytes,"
                                f" dims {(i1, i2, i3)} need {4 * i1 * i2 * i3}")
-    t = np.frombuffer(raw, dtype="<f4", offset=20).astype(np.float64)
+    t = np.frombuffer(raw, dtype="<f4", offset=20).astype(np.float32)
     t = t.reshape(i1, i2, i3)
     if not np.all(np.isfinite(t)):
         raise StudyFormatError(f"{path}: non-finite tensor values")

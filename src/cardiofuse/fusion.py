@@ -122,12 +122,16 @@ class RunResult:
 
 
 def early_concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mode-3 concatenation of two same-shape tensors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """Mode-3 concatenation of two same-shape tensors.
+
+    Concatenation is exact, so two float32 stacks give a float32 stack
+    (MPCA widens it where it computes); any other pair gives float64.
+    """
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"cannot concatenate dims {a.shape} and {b.shape}")
-    return np.concatenate([a, b], axis=2)
+    dtype = np.float32 if a.dtype == b.dtype == np.float32 else np.float64
+    return np.concatenate([a, b], axis=2, dtype=dtype)
 
 
 def late_fuse(score_vectors, weights, stats) -> np.ndarray:

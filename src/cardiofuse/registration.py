@@ -12,7 +12,10 @@ coordinate outside ``[0, n - 1]`` reads 0; inside, the fractional part
 ``f`` gives the weights ``w0 = 1 - f`` and ``w1 = 1 - w0`` (not ``f``: the
 two differ in the last bit when ``f < 0.5``); and the four taps are added
 to 0.0 in the order (r0, c0), (r0, c1), (r1, c0), (r1, c1), each as
-``(value * w_row) * w_col``.
+``(value * w_row) * w_col``.  As in ndimage, the arithmetic is float64
+and the output has the input's dtype: a float32 stack comes back float32,
+each sample rounded once from its float64 value; a stack of any other
+dtype is read as float64 and comes back float64.
 """
 
 from __future__ import annotations
@@ -115,8 +118,12 @@ def warp_stack(t: np.ndarray, a: AffineTransform) -> np.ndarray:
     ``a`` maps output (template) coordinates to input (source) coordinates,
     i.e. inverse warping.  Bilinear interpolation, zero fill outside; all
     frames share one gather (see the module docstring for the arithmetic).
+    The output is float32 for a float32 ``t``, else float64; the
+    arithmetic is float64 either way.
     """
-    t = np.asarray(t, dtype=np.float64)
+    t = np.asarray(t)
+    dtype = np.float32 if t.dtype == np.float32 else np.float64
+    t = t.astype(np.float64, copy=False)
     h, w, n_frames = t.shape
     cols, rows = np.meshgrid(np.arange(w), np.arange(h))  # (H, W) each
     src = a.apply(np.stack([cols.ravel(), rows.ravel()], axis=1))
@@ -140,8 +147,8 @@ def warp_stack(t: np.ndarray, a: AffineTransform) -> np.ndarray:
     acc += taps[1]
     acc += taps[2]
     acc += taps[3]
-    out = np.zeros((h * w, n_frames))
-    out[inside] = acc
+    out = np.zeros((h * w, n_frames), dtype=dtype)
+    out[inside] = acc  # float32 output: one rounding per sample
     return out.reshape(h, w, n_frames)
 
 

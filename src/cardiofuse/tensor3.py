@@ -1,9 +1,13 @@
 """Third-order tensor algebra.
 
-A tensor is a C-contiguous float64 ``numpy`` array of shape (I1, I2, I3);
-the canonical flat layout is last-index-fastest,
-``index(i1, i2, i3) = i1*I2*I3 + i2*I3 + i3``.  Mode indices are 1-based
-(1, 2, 3) throughout, matching the usual multilinear-algebra convention.
+A tensor is a ``numpy`` array of shape (I1, I2, I3).  The unfoldings,
+mode products and ``frobenius_sq`` read their arrays as float64, widening
+a float32 stack as a study holds it, so their results are float64;
+``projected_unfolding`` computes in its input's dtype, and MPCA hands it
+the float64 centred samples.  The canonical flat layout is
+last-index-fastest, ``index(i1, i2, i3) = i1*I2*I3 + i2*I3 + i3``.  Mode
+indices are 1-based (1, 2, 3) throughout, matching the usual
+multilinear-algebra convention.
 
 Unfolding convention: ``mode_n_unfold(t, n)`` has ``I_n`` rows; the columns
 run over the remaining modes in increasing mode order with the *last*

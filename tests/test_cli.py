@@ -473,6 +473,26 @@ class TestStageSubcommands:
             "load", "preprocess", "filtering", "select_features", "train"]
 
 
+def test_load_and_preprocess_hold_float32_stacks(tmp_path):
+    """The study holds its stacks at the precision it stores them in,
+    before and after registration: four bytes a voxel."""
+    cfg = pipeline.load_config(overrides={
+        "synthetic": SMALL_SYNTHETIC, "data_dir": str(tmp_path / "data")})
+    pipeline.stage_generate(cfg, cfg["data_dir"])
+    study = pipeline.stage_load(cfg)
+    loaded = {(s.id, m): t for s in study.subjects
+              for m, t in s.tensors.items()}
+    pipeline.stage_preprocess(study)
+    for s in study.subjects:
+        assert set(s.tensors) == {"short_axis", "four_chamber"}
+        for m, t in s.tensors.items():
+            assert t is not loaded[s.id, m]  # registered, not the raw stack
+            for stack in (t, loaded[s.id, m]):
+                assert stack.dtype == np.float32
+                assert stack.shape == tuple(SMALL_SYNTHETIC["dims"])
+                assert stack.nbytes == 4 * stack.size
+
+
 class TestCompare:
     def _run(self, tmp_path, name, strategy, modalities):
         cfg_path = write_config(

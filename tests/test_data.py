@@ -5,6 +5,7 @@ import hashlib
 import shutil
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,34 @@ class TestTensorFile:
         path = tmp_path / "t.hft"
         write_tensor(path, t)
         np.testing.assert_array_equal(read_tensor(path), t)
+
+    def test_read_is_float32_of_the_stored_values(self, tmp_path):
+        rng = np.random.default_rng(1)
+        t = rng.normal(size=(6, 5, 4)) * 1e3
+        path = tmp_path / "t.hft"
+        write_tensor(path, t)
+        out = read_tensor(path)
+        assert out.dtype == np.float32 and out.shape == t.shape
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert out.tobytes() == path.read_bytes()[20:]
+        assert out.tobytes() == t.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("big", [1e39, -1e39, 3.5e38])
+    def test_values_beyond_float32_range_not_written(self, tmp_path, big):
+        t = np.zeros((2, 2, 2))
+        t[1, 0, 1] = big
+        path = tmp_path / "t.hft"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            with pytest.raises(ValueError, match="overflow float32"):
+                write_tensor(path, t)
+        assert not path.exists()
+
+    def test_largest_float32_value_written(self, tmp_path):
+        t = np.zeros((2, 2, 2))
+        t[0, 1, 1] = -float(np.finfo(np.float32).max)
+        write_tensor(tmp_path / "t.hft", t)
+        np.testing.assert_array_equal(read_tensor(tmp_path / "t.hft"), t)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "t.hft"

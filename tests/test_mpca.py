@@ -451,6 +451,34 @@ class TestFitLatents:
         assert latents.flags.c_contiguous
         assert latents.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dims, target_dims, max_iters", [
+        ((5, 4, 3), None, 1), ((6, 5, 7), (3, 2, 4), 0),
+        ((6, 5, 7), (3, 2, 4), 2), ((48, 48, 8), None, 1),
+    ], ids=["5x4x3", "J<I-iters0", "J<I-iters2", "48x48x8"])
+    def test_float32_samples_fit_as_their_float64_values(self, dims,
+                                                         target_dims,
+                                                         max_iters):
+        """A study holds float32 stacks; the fit and the projection widen
+        them, so models and latents are those of the same values held as
+        float64, byte for byte."""
+        narrow = [s.astype(np.float32)
+                  for s in random_samples(20, dims, seed=41)]
+        wide = [s.astype(np.float64) for s in narrow]
+        fits = [mpca.fit(samples, max_iters=max_iters,
+                         target_dims=target_dims, latents=True)
+                for samples in (narrow, wide)]
+        (m32, x32), (m64, x64) = fits
+        assert m32.scatter_trace == m64.scatter_trace
+        for a, b in zip(m32.projections + [m32.mean_tensor],
+                        m64.projections + [m64.mean_tensor]):
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+        assert x32.dtype == np.float64 and x32.tobytes() == x64.tobytes()
+        for s32, s64 in zip(narrow, wide):
+            y = mpca.transform(m32, s32)
+            assert y.dtype == np.float64
+            assert y.tobytes() == mpca.transform(m32, s64).tobytes()
+
     def test_no_second_projection(self, monkeypatch):
         def transform(*args):
             raise AssertionError("a train sample was projected again")

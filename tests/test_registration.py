@@ -129,23 +129,22 @@ class TestWarpStack:
 
 
 def ndimage_warp(t, a: AffineTransform) -> np.ndarray:
-    """Oracle: one ``map_coordinates`` call per frame."""
+    """Oracle: one ``map_coordinates`` call per frame, in the dtype
+    ``map_coordinates`` returns (the frames')."""
     h, w, n_frames = t.shape
     cols, rows = np.meshgrid(np.arange(w), np.arange(h))
     src = a.apply(np.stack([cols.ravel(), rows.ravel()], axis=1))
     coords = np.stack([src[:, 1], src[:, 0]])  # (row, col)
-    out = np.empty(t.shape)
-    for k in range(n_frames):
-        out[:, :, k] = map_coordinates(
-            t[:, :, k], coords, order=1, mode="constant", cval=0.0
-        ).reshape(h, w)
-    return out
+    return np.stack([map_coordinates(t[:, :, k], coords, order=1,
+                                     mode="constant", cval=0.0).reshape(h, w)
+                     for k in range(n_frames)], axis=2)
 
 
 def assert_same_bytes_as_ndimage(t, a: AffineTransform):
     out = warp_stack(t, a)
-    assert out.shape == t.shape and out.dtype == np.float64
-    assert out.tobytes() == ndimage_warp(t, a).tobytes()
+    expected = ndimage_warp(t, a)
+    assert out.shape == t.shape and out.dtype == t.dtype == expected.dtype
+    assert out.tobytes() == expected.tobytes()
 
 
 def shift(dx: float, dy: float) -> AffineTransform:
@@ -228,6 +227,47 @@ class TestWarpMatchesNdimage:
         ints = rng.integers(-5, 5, size=(6, 6, 2))
         assert warp_stack(ints, a).tobytes() == ndimage_warp(
             ints.astype(np.float64), a).tobytes()
+
+
+class TestWarpFloat32:
+    """A float32 stack is warped in float64 and comes back float32, as
+    ``map_coordinates`` returns it: each sample rounded once."""
+
+    @staticmethod
+    def affines(rng, count):
+        for _ in range(count):
+            angle, scale = rng.normal(0.0, 0.3), 1.0 + rng.normal(0.0, 0.2)
+            c, s = np.cos(angle), np.sin(angle)
+            yield AffineTransform(scale * np.array([[c, -s], [s, c]])
+                                  + rng.normal(0.0, 0.05, (2, 2)),
+                                  rng.normal(0.0, 3.0, 2))
+
+    def test_random_affines_match_ndimage_on_float32_frames(self):
+        rng = np.random.default_rng(16)
+        for shape in [(32, 32, 8), (48, 48, 8), (7, 13, 3), (1, 5, 2)]:
+            for a in self.affines(rng, 20):
+                t = (rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+                     ).astype(np.float32)
+                assert_same_bytes_as_ndimage(t, a)
+
+    def test_edges_and_fractions_match_ndimage(self):
+        rng = np.random.default_rng(17)
+        t = rng.normal(size=(9, 8, 3)).astype(np.float32)
+        for dx, dy in [(1e-9, 0.3), (0.49999999999, 0.1), (7.0, 0.0),
+                       (0.0, 8.0), (-1e-12, 0.0), (2.5, -3.25)]:
+            assert_same_bytes_as_ndimage(t, shift(dx, dy))
+        assert_same_bytes_as_ndimage(np.full((4, 5, 2), -0.0, np.float32),
+                                     shift(0.0, 0.0))
+        assert_same_bytes_as_ndimage(np.asfortranarray(t), shift(0.6, -1.3))
+
+    def test_float32_output_is_the_float64_output_rounded(self):
+        rng = np.random.default_rng(18)
+        for a in self.affines(rng, 10):
+            t = rng.normal(size=(20, 24, 4)).astype(np.float32)
+            wide = warp_stack(t.astype(np.float64), a)
+            assert wide.dtype == np.float64
+            assert warp_stack(t, a).tobytes() == wide.astype(
+                np.float32).tobytes()
 
 
 class TestTemplate:
