@@ -4,6 +4,8 @@ Usage, from the repository root:
 
     python3 benchmarks/kernels.py --out BENCH.json
     python3 benchmarks/kernels.py --baseline-src ../other/src --out BENCH.json
+    python3 benchmarks/kernels.py --kernels "mpca.fit 48x48x8" \
+        "mpca.fit 48x48x8 started" --out BENCH.json
 
 Times ``svm.train_linear`` (200 x 210, C = 0.1, 15 epochs, as in a CV fit
 of the benchmark's ``default`` workload; and at C = 1.0 and 15 epochs the
@@ -14,7 +16,12 @@ workload's EHR fits at C = 1.0), ``svm.grid_search_cv`` (4 C x 10 folds at
 default ``cardiofuse run`` at seed 0), ``mpca.fit`` (280 stacks of
 32 x 32 x 8, and 224 stacks of 48 x 48 x 8, the shape of the benchmark's
 ``imaging_hires`` workload; one refinement pass each; the projections and
-the scatter trace are compared) and ``tensor3.mode_n_product`` (a
+the scatter trace are compared; and, as ``mpca.fit 48x48x8 started``, the
+intermediate branch's refined fit of those 224 stacks with their train
+latents, started from the dims pass ``fit(..., max_iters=0)`` made once
+beforehand, at that pass's target dims; a tree whose ``fit`` takes no
+``start`` fits them afresh, as its branch did; the projections, mean,
+trace and latents are compared) and ``tensor3.mode_n_product`` (a
 32 x 32 x 8 stack by a 30 x 32, 30 x 32 and 8 x 8 matrix along modes 1, 2
 and 3), ``registration.warp_stack`` (a 32 x 32 x 8 and a 48 x 48 x 8 stack
 under a small rotation, scaling and shift, as in ``register_stack``, and
@@ -87,6 +94,7 @@ before numpy loads); the JSON records the thread count OpenBLAS reports,
 ``nproc``, the numpy, scipy and BLAS versions, and for each tree its git
 sha, whether its ``src`` differs from that commit, and a digest of its
 sources.
+``--kernels`` times only the kernels it names (all by default).
 This script is not a test and no CI step runs it.
 """
 
@@ -102,6 +110,7 @@ import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
@@ -316,6 +325,11 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
     affine = registration.AffineTransform(*data["warp_affine"])
     hires_model = mpca.fit(data["hires_stacks"], max_iters=0,
                            target_dims=(46, 46, 8))
+    dims_pass = mpca.fit(data["hires_stacks"], max_iters=0)
+    # a tree before MPCA's started fit refits from scratch, as its
+    # intermediate branch did
+    start = ({"start": dims_pass}
+             if "start" in inspect.signature(mpca.fit).parameters else {})
 
     def train(x, y, C):
         def fn():
@@ -336,6 +350,13 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
             model = mpca.fit(stacks, max_iters=1)
             return model.projections + [np.array(model.scatter_trace)]
         return fn
+
+    def refine():
+        model, latents = mpca.fit(data["hires_stacks"], max_iters=1,
+                                  target_dims=dims_pass.target_dims,
+                                  latents=True, **start)
+        return model.projections + [model.mean_tensor,
+                                    np.array(model.scatter_trace), latents]
 
     def products():
         out = []
@@ -430,6 +451,9 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
         "mpca.fit": ("280 x 32x32x8, max_iters=1", fit(data["stacks"]), 1),
         "mpca.fit 48x48x8": ("224 x 48x48x8, max_iters=1",
                              fit(data["hires_stacks"]), 1),
+        "mpca.fit 48x48x8 started": (
+            "224 x 48x48x8, max_iters=1, latents, from its dims pass",
+            refine, 1),
         "tensor3.mode_n_product": ("32x32x8 by 30x32 / 30x32 / 8x8, per call",
                                    products, PRODUCT_CALLS),
         "registration.warp_stack 32x32x8": (
@@ -516,6 +540,8 @@ def main(argv=None) -> int:
                    help="the src directory of a second tree to time")
     p.add_argument("--repeats", type=int, default=15,
                    help="rounds; the minimum over them is reported")
+    p.add_argument("--kernels", nargs="+", metavar="NAME",
+                   help="time only these kernels (default: all)")
     p.add_argument("--out", type=Path, required=True, help="JSON result")
     args = p.parse_args(argv)
 
@@ -526,6 +552,13 @@ def main(argv=None) -> int:
             for tag, src in trees.items()}
     data = inputs(mods["current"])
     suites = {tag: kernels(src, mods[tag], data) for tag, src in trees.items()}
+    if args.kernels:
+        unknown = sorted(set(args.kernels) - set(suites["current"]))
+        if unknown:
+            p.error(f"unknown kernels {unknown}; known:"
+                    f" {sorted(suites['current'])}")
+        suites = {tag: {name: suite[name] for name in args.kernels}
+                  for tag, suite in suites.items()}
 
     samples = {name: {tag: [] for tag in trees} for name in suites["current"]}
     outputs = {name: {} for name in samples}

@@ -19,7 +19,10 @@ rng = np.random.default_rng(0)
 n = 300
 labels = rng.integers(0, 2, n)
 x = rng.normal(size=(n, 8)) + 0.9 * labels[:, None]
-train, test = np.arange(200), np.arange(200, n)
+# The last quarter of the train rows is held out, as a run holds out its
+# validation split: the risk squash is fitted on scores the classifier
+# was not trained on.
+train, held_out, test = np.arange(150), np.arange(150, 200), np.arange(200, n)
 
 cv = svm.grid_search_cv(x[train], labels[train], grid=[0.001, 0.01, 0.1, 1.0],
                         folds=10, epochs=100, seed=0)
@@ -33,9 +36,10 @@ print(f"refit: {clf.steps} SMO pair steps, KKT gap {clf.kkt_gap:.1e}"
       f" (converged below {svm.KKT_TOL:g})")
 scores = svm.decision_scores(clf, x[test])
 
-# Platt-style squash turns margins into [0, 1] risks for DCA.
+# Platt-style squash turns margins into [0, 1] risks for DCA; fitted on
+# the training scores it would learn the classifier's overconfidence.
 squash = metrics.fit_score_squash(
-    svm.decision_scores(clf, x[train]), labels[train])
+    svm.decision_scores(clf, x[held_out]), labels[held_out])
 report = metrics.evaluate(scores, labels[test], squash=squash)
 print(f"\ntest AUROC {report.auroc:.4f}  accuracy {report.accuracy:.4f}  "
       f"MCC {report.mcc:.4f}")

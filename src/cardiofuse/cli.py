@@ -99,7 +99,8 @@ def cmd_compare(args) -> int:
             entry[metric + "_std"] = (float(np.std(values, ddof=1))
                                       if len(values) >= 2 else 0.0)
         rows.append(entry)
-    rows.sort(key=lambda r: -r["auroc"])
+    # a run without a defined segment AUROC (NaN) sorts last
+    rows.sort(key=lambda r: (math.isnan(r["auroc"]), -r["auroc"]))
 
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

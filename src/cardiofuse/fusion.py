@@ -207,14 +207,19 @@ def _imaging_features(splits, y_train: np.ndarray, modalities: list[str],
     map), flattened.  Its B blocks, the one composed block of early fusion
     or one per modality for intermediate fusion, share the latent dims
     J1 x J2 x J3, and block i's column (j1, j2, k) is column
-    ((j1 J2 + j2) B + i) J3 + k of the whole.  Each block's MPCA fit hands
-    back its train latents, made by its last pass (``mpca.fit(...,
-    latents=True)``), which are Fisher-ranked on their own, keep their top
-    ``kappa`` columns as candidates and are freed before the next block is
-    fit, so one block's latents are alive at a time.  A block's columns
-    keep their relative order in the whole, so its candidates hold its
-    share of the whole's top ``kappa``, which is picked from them by
-    descending score, then column, as ``mpca.fisher_rank`` ranks.
+    ((j1 J2 + j2) B + i) J3 + k of the whole.  Under intermediate fusion
+    each block first has a dims pass (``mpca.fit(..., max_iters=0)``),
+    whose target dims set the shared ones and which then starts that
+    block's refined fit (``start=``), so the block's unprojected mode
+    scatters and their spectra are computed once; it is dropped once used.
+    Each block's refined fit hands back its train latents, made by its
+    last pass (``mpca.fit(..., latents=True)``), which are Fisher-ranked
+    on their own, keep their top ``kappa`` columns as candidates and are
+    freed before the next block is fit, so one block's latents are alive
+    at a time.  A block's columns keep their relative order in the whole,
+    so its candidates hold its share of the whole's top ``kappa``, which is
+    picked from them by descending score, then column, as
+    ``mpca.fisher_rank`` ranks.
     Validation and test subjects are projected block by block straight
     into their selected columns.  So scores, ranking and values are those
     of ``fisher_rank`` on the whole matrix and ``x[:, order[:kappa]]``, in
@@ -240,20 +245,20 @@ def _imaging_features(splits, y_train: np.ndarray, modalities: list[str],
                 t = early_concat(t, other)
             return t
         train_blocks = [[block(ts, 0) for ts in train_stacks]]
-        shared = None
+        shared, starts = None, [None]
     elif mode == "intermediate":
         def block(stacks, i):
             return stacks[i]
         train_blocks = [[ts[i] for ts in train_stacks]
                         for i in range(len(modalities))]
-        # only the target dims are read, and initialization fixes them
-        first_pass = [
-            mpca.fit(tensors, variance_fraction=config.variance_fraction,
-                     max_iters=0).target_dims
-            for tensors in train_blocks
-        ]
+        # each block's dims pass: its initialization fixes its target dims
+        # and starts its refined fit below
+        starts = [mpca.fit(tensors, variance_fraction=config.variance_fraction,
+                           max_iters=0)
+                  for tensors in train_blocks]
         # shared latent dims so the latent concatenation lines up
-        shared = tuple(max(dims[d] for dims in first_pass) for d in range(3))
+        shared = tuple(max(m.target_dims[d] for m in starts)
+                       for d in range(3))
     else:
         raise ValueError(f"unknown imaging fusion mode {mode!r}")
 
@@ -262,13 +267,16 @@ def _imaging_features(splits, y_train: np.ndarray, modalities: list[str],
         raise ValueError(f"kappa={config.kappa} must be at least 1")
 
     def candidates(tensors):
-        """Block ``tensors``' MPCA model, and its top ``kappa`` local
-        columns with their scores and train values; the fit's latents are
-        freed on return, before the next block is fit."""
+        """Block ``tensors``' MPCA model, continuing the block's dims pass
+        if it had one, and its top ``kappa`` local columns with their
+        scores and train values; the fit's latents are freed on return,
+        before the next block is fit."""
+        # popped inside the call, the dims pass is freed when the fit
+        # returns, not held through the ranking below
         model, flat = mpca.fit(tensors,
                                variance_fraction=config.variance_fraction,
                                max_iters=config.iters, target_dims=shared,
-                               latents=True)
+                               latents=True, start=starts.pop(0))
         if flat.shape[1] == 1 and n_blocks > 1:
             # fisher_rank sums one column pairwise and a wider matrix row
             # by row: beside a copy of itself a column is scored as in the

@@ -13,6 +13,14 @@ sample along modes 1 and 2 once, keeping the products in the stack, and a
 fit asked for its training latents finishes them there with one mode-3
 product per sample: they are ``transform_flat``'s bytes, with no second
 projection of the training samples and no second latent matrix.
+
+A ``max_iters=0`` fit keeps its initialization in its model: each mode's
+spectrum of the unprojected scatter and the first projected mode-1
+scatter.  ``fit(samples, ..., start=model)`` continues such a fit of the
+same samples: it takes its initial projections from those spectra at its
+own target dims, reuses the mode-1 scatter when those dims are the
+start's, and so computes only its own centred stack, its refinement
+passes and its latents, with the bytes of a plain fit.
 """
 
 from __future__ import annotations
@@ -30,6 +38,16 @@ _FISHER_VAR_FLOOR = 1e-12
 FISHER_BLOCK = 256
 
 
+@dataclass(frozen=True)
+class MpcaInit:
+    """What a fit computes before its first pass: per mode the descending
+    eigenvalues and (unsigned) eigenvectors of the unprojected scatter,
+    and the mode-1 scatter after projecting modes 2 and 3."""
+
+    spectra: tuple[tuple[np.ndarray, np.ndarray], ...]
+    mode1_scatter: np.ndarray
+
+
 @dataclass
 class MpcaModel:
     """Learned mode-wise projections."""
@@ -39,6 +57,8 @@ class MpcaModel:
     target_dims: tuple[int, int, int]
     variance_fraction: float
     scatter_trace: list[float] = field(default_factory=list)
+    # kept by a max_iters=0 fit only, to start a refined fit of its samples
+    init: MpcaInit | None = field(default=None, repr=False, compare=False)
 
     @property
     def input_dims(self) -> tuple[int, int, int]:
@@ -138,11 +158,23 @@ def _captured(scatter: np.ndarray, u: np.ndarray) -> float:
     return float(np.sum(u * (scatter @ u)))
 
 
+def _initial_dim(vals: np.ndarray, variance_fraction: float) -> int:
+    """The smallest count of leading eigenvalues whose mass reaches
+    ``variance_fraction`` of the total."""
+    mass = np.cumsum(np.maximum(vals, 0.0))
+    total = mass[-1]
+    if total <= 0:
+        return 1
+    return min(int(np.searchsorted(mass, variance_fraction * total) + 1),
+               len(vals))
+
+
 def fit(samples: list[np.ndarray],
         variance_fraction: float = DEFAULT_VARIANCE_FRACTION,
         max_iters: int = 1,
         target_dims: tuple[int, int, int] | None = None,
-        latents: bool = False):
+        latents: bool = False,
+        start: MpcaModel | None = None):
     """Learn mode-wise projections maximizing the total projected scatter.
 
     Each projection is initialized from the top eigenvectors of the full
@@ -156,6 +188,16 @@ def fit(samples: list[np.ndarray],
     the first pass's mode-1 scatter gives the entry before it, and each
     pass's mode-3 scatter the entry after it (with ``max_iters=0`` that
     one mode-1 scatter is still computed, for the single entry).
+
+    A ``max_iters=0`` model keeps that initialization (``MpcaInit``: the
+    three spectra and the mode-1 scatter) in its ``init``.  Given such a
+    model as ``start``, the fit continues it: the samples must be the
+    start's (its ``mean_tensor`` must equal theirs bit for bit, else
+    ``ValueError``, as for a start of other input dims or one that kept no
+    initialization).  The initial projections are taken from the start's
+    spectra at this fit's own ``J_n``; when those dims are the start's,
+    its mode-1 scatter and ``scatter_trace[0]`` are reused too.  The
+    result is byte for byte the fit without ``start``.
 
     Returns the model, or with ``latents`` the pair ``(model, latents)``,
     where ``latents`` is byte for byte ``transform_flat(model, samples)``:
@@ -172,32 +214,45 @@ def fit(samples: list[np.ndarray],
     for s in samples:
         if s.shape != dims:
             raise ValueError(f"inconsistent sample dims: {s.shape} vs {dims}")
+    if target_dims is not None:
+        for n, j_n in enumerate(target_dims, start=1):
+            if not 1 <= int(j_n) <= dims[n - 1]:
+                raise ValueError(f"target dim {j_n} invalid for mode {n}")
+    if start is not None:
+        if start.init is None:
+            raise ValueError("start keeps no initialization: it must be a"
+                             " max_iters=0 fit")
+        if start.input_dims != dims:
+            raise ValueError(f"start was fit on dims {start.input_dims},"
+                             f" not {dims}")
 
     centered = np.array(samples, dtype=np.float64)
     mean_tensor = centered.mean(axis=0)
     centered -= mean_tensor
+    if start is not None and (start.mean_tensor.tobytes()
+                              != mean_tensor.tobytes()):
+        raise ValueError("start was fit on other samples: its mean differs")
 
-    # Full-projection initialization, one mode at a time.
-    projections: list[np.ndarray | None] = [None, None, None]
-    for n in (1, 2, 3):
-        vals, vecs = _eigh_descending(
-            _mode_scatter(centered, n, [None, None, None]))
-        if target_dims is not None:
-            j_n = int(target_dims[n - 1])
-            if not 1 <= j_n <= dims[n - 1]:
-                raise ValueError(f"target dim {j_n} invalid for mode {n}")
-        else:
-            mass = np.cumsum(np.maximum(vals, 0.0))
-            total = mass[-1]
-            if total <= 0:
-                j_n = 1
-            else:
-                j_n = int(np.searchsorted(mass, variance_fraction * total) + 1)
-                j_n = min(j_n, dims[n - 1])
-        projections[n - 1] = _fix_sign(vecs[:, :j_n])
+    # Full-projection initialization from each mode's spectrum, the
+    # start's when there is one.
+    spectra = start.init.spectra if start is not None else tuple(
+        _eigh_descending(_mode_scatter(centered, n, [None, None, None]))
+        for n in (1, 2, 3))
+    projections = []
+    for (vals, vecs), j_n in zip(spectra, (None,) * 3 if target_dims is None
+                                 else target_dims):
+        if j_n is None:
+            j_n = _initial_dim(vals, variance_fraction)
+        projections.append(_fix_sign(vecs[:, :int(j_n)]))
 
-    scatter = _mode_scatter(centered, 1, projections)
-    trace = [_captured(scatter, projections[0])]
+    if (start is not None
+            and tuple(u.shape[1] for u in projections) == start.target_dims):
+        scatter = start.init.mode1_scatter
+        trace = [start.scatter_trace[0]]
+    else:
+        scatter = _mode_scatter(centered, 1, projections)
+        trace = [_captured(scatter, projections[0])]
+    init = MpcaInit(spectra, scatter) if max_iters == 0 else None
     for it in range(max_iters):
         last = it == max_iters - 1
         for n in (1, 2, 3):
@@ -220,6 +275,7 @@ def fit(samples: list[np.ndarray],
         target_dims=tuple(u.shape[1] for u in projections),
         variance_fraction=variance_fraction,
         scatter_trace=trace,
+        init=init,
     )
     if not latents:
         return model

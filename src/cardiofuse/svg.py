@@ -6,6 +6,8 @@ can be diffed in tests.
 
 from __future__ import annotations
 
+import math
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _W, _H = 640, 420
@@ -89,10 +91,11 @@ def line_chart(series: dict[str, list[tuple[float, float]]], title: str = "",
 
 def bar_chart(groups: list[str], series: dict[str, list[float]],
               title: str = "", y_label: str = "") -> str:
-    """Grouped vertical bars: one cluster per group, one bar per series."""
-    vals = [v for vs in series.values() for v in vs]
-    y_lo = min(0.0, min(vals))
-    y_hi = max(vals) * 1.05 if max(vals) > 0 else 1.0
+    """Grouped vertical bars: one cluster per group, one bar per series.
+    A NaN value gets no bar."""
+    vals = [v for vs in series.values() for v in vs if not math.isnan(v)]
+    y_lo = min([0.0, *vals])
+    y_hi = max(vals) * 1.05 if vals and max(vals) > 0 else 1.0
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">']
     parts += _axes(title, "", y_label, 0, max(len(groups), 1), y_lo, y_hi)
@@ -107,6 +110,8 @@ def bar_chart(groups: list[str], series: dict[str, list[float]],
             f'text-anchor="middle" font-size="10">{group}</text>'
         )
         for si, (name, vs) in enumerate(series.items()):
+            if math.isnan(vs[gi]):
+                continue
             color = _PALETTE[si % len(_PALETTE)]
             yp = _scale(vs[gi], y_lo, y_hi, _H - _MB, _MT)
             top, height = min(yp, y0), abs(yp - y0)

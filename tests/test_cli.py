@@ -526,6 +526,39 @@ class TestCompare:
         # std columns populated because the runs used >= 2 segments
         assert all(len(r.split(",")) == 7 for r in rows[1:])
 
+    @staticmethod
+    def _report(tmp_path, name, modality, aurocs):
+        """A run directory whose manifest names ``modality`` and whose
+        segments have ``aurocs`` (None: a single-class segment)."""
+        run = tmp_path / name
+        run.mkdir()
+        (run / "segment_metrics.json").write_text(json.dumps(
+            [{"auroc": a, "accuracy": 0.7, "mcc": 0.4} for a in aurocs]))
+        (run / "manifest.json").write_text(json.dumps({
+            "artifacts": {"segment_metrics": "segment_metrics.json"},
+            "config": {"fusion": {"strategy": "early",
+                                  "modalities": [modality]}}}))
+        return str(run / "manifest.json")
+
+    def test_compare_sorts_an_undefined_auroc_last(self, tmp_path):
+        """A run whose segments are all single-class has a NaN AUROC; it
+        sorts after the runs that have one, and gets no bar."""
+        manifests = [self._report(tmp_path, "a", "short_axis", [0.8, 0.8]),
+                     self._report(tmp_path, "b", "four_chamber",
+                                  [None, None]),
+                     self._report(tmp_path, "c", "ehr", [0.9, 0.9])]
+        out_dir = tmp_path / "cmp"
+        assert cli.main(["compare", *manifests,
+                         "--out-dir", str(out_dir)]) == 0
+        rows = (out_dir / "comparison.csv").read_text().strip().split("\n")
+        assert [r.split(",")[:2] for r in rows[1:]] == [
+            ["early:ehr", "0.9"], ["early:short_axis", "0.8"],
+            ["early:four_chamber", "nan"]]
+        svg = (out_dir / "comparison.svg").read_text()
+        assert "nan" not in svg
+        # the plot frame, 3 runs x 3 metrics less the NaN bar, the legend
+        assert svg.count("<rect") == 1 + 3 * 3 - 1 + 3
+
     def test_compare_from_another_directory(self, tmp_path, monkeypatch):
         """The manifest lists its artifacts as the run's working directory
         saw them; compare reads the report next to the manifest."""

@@ -410,6 +410,40 @@ class TestRunPlan:
         n_features = sum(m.n_features for m in models)
         assert peak < len(y) * n_features * 8
 
+    def test_intermediate_computes_each_unprojected_scatter_once(
+            self, small_study, monkeypatch):
+        """Each block's refined fit continues its dims pass: 3 unprojected
+        mode scatters per block (6 when it computed them again), still two
+        ``mpca.fit`` calls per block, and the models of plain fits."""
+        unprojected, fits = [], []
+        mode_scatter, fit = mpca._mode_scatter, mpca.fit
+
+        def scatter_spy(samples, mode, projections):
+            unprojected.append(all(u is None for u in projections))
+            return mode_scatter(samples, mode, projections)
+
+        def fit_spy(*args, **kwargs):
+            fits.append(kwargs.get("max_iters"))
+            return fit(*args, **kwargs)
+        monkeypatch.setattr(mpca, "_mode_scatter", scatter_spy)
+        monkeypatch.setattr(mpca, "fit", fit_spy)
+        splits = fusion._splits(small_study)
+        _, _, models = fusion._imaging_features(
+            splits, small_study.labels(splits["train"]), [SA, FC],
+            "intermediate", FAST)
+        assert sum(unprojected) == 3 * 2
+        assert fits == [0, 0, FAST.iters, FAST.iters]
+        monkeypatch.undo()
+        for m, model in zip((SA, FC), models):
+            plain = mpca.fit([s.tensors[m] for s in splits["train"]],
+                             variance_fraction=FAST.variance_fraction,
+                             max_iters=FAST.iters,
+                             target_dims=models[0].target_dims)
+            assert model.scatter_trace == plain.scatter_trace
+            for a, b in zip(model.projections + [model.mean_tensor],
+                            plain.projections + [plain.mean_tensor]):
+                assert a.tobytes() == b.tobytes()
+
     @staticmethod
     def with_stacks_as(study, dtype):
         """A copy of ``study`` whose stacks hold the same values as

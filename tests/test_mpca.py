@@ -506,6 +506,89 @@ class TestFitLatents:
         assert latents.nbytes > 0.5 * len(samples) * samples[0].nbytes
 
 
+SMALL = random_samples(16, (6, 5, 7), seed=36)
+# n, dims, seed, variance fraction: a small shape and the shape of the
+# imaging_hires train stack, whose samples are made per test, not held
+SHAPES = {"6x5x7": (16, (6, 5, 7), 36, 0.8),
+          "224x48x48x8": (224, (48, 48, 8), 39,
+                          mpca.DEFAULT_VARIANCE_FRACTION)}
+
+
+def mode_scatter_calls(monkeypatch) -> list[bool]:
+    """Spy on ``mpca._mode_scatter``: one entry per call, True when no mode
+    was projected."""
+    calls, original = [], mpca._mode_scatter
+
+    def spy(samples, mode, projections):
+        calls.append(all(u is None for u in projections))
+        return original(samples, mode, projections)
+    monkeypatch.setattr(mpca, "_mode_scatter", spy)
+    return calls
+
+
+class TestStartedFit:
+    """``fit(samples, ..., start=fit(samples, max_iters=0))`` is the plain
+    fit byte for byte: it reuses the start's spectra and, at the start's
+    own target dims, its first projected mode-1 scatter."""
+
+    # grow: None, the dims the variance fraction gives (the start's); 0,
+    # the start's dims given as target dims; n, mode n one larger, where
+    # only the spectra are reused
+    @pytest.mark.parametrize("shape, grow, max_iters", [
+        ("6x5x7", None, 1), ("6x5x7", 0, 2), ("6x5x7", 1, 1),
+        ("6x5x7", 2, 2), ("224x48x48x8", 0, 1), ("224x48x48x8", 1, 1),
+    ], ids=["6x5x7-own-iters1", "6x5x7-same-iters2", "6x5x7-J1+1-iters1",
+            "6x5x7-J2+1-iters2", "224x48x48x8-same", "224x48x48x8-J1+1"])
+    def test_equals_the_plain_fit(self, monkeypatch, shape, grow, max_iters):
+        n, dims, seed, fraction = SHAPES[shape]
+        samples = random_samples(n, dims, seed)
+        start = mpca.fit(samples, variance_fraction=fraction, max_iters=0)
+        target = None
+        if grow is not None:
+            target = list(start.target_dims)
+            if grow:
+                target[grow - 1] += 1
+            target = tuple(target)
+        plain, plain_latents = mpca.fit(samples, variance_fraction=fraction,
+                                        max_iters=max_iters,
+                                        target_dims=target, latents=True)
+        calls = mode_scatter_calls(monkeypatch)
+        model, latents = mpca.fit(samples, variance_fraction=fraction,
+                                  max_iters=max_iters, target_dims=target,
+                                  latents=True, start=start)
+        # no unprojected scatter; the first projected mode-1 scatter only
+        # at dims other than the start's, and three for each pass after
+        # the first
+        assert not any(calls)
+        assert len(calls) == bool(grow) + 3 * (max_iters - 1)
+        assert model.target_dims == plain.target_dims
+        assert model.target_dims == (target or start.target_dims)
+        assert model.scatter_trace == plain.scatter_trace
+        for a, b in zip(model.projections + [model.mean_tensor],
+                        plain.projections + [plain.mean_tensor]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert latents.shape == plain_latents.shape
+        assert latents.tobytes() == plain_latents.tobytes()
+        assert model.init is None and plain.init is None
+
+    def test_init_is_kept_by_a_dims_pass_only(self):
+        start = mpca.fit(SMALL, max_iters=0)
+        assert start.init is not None and "init" not in repr(start)
+        assert len(start.init.spectra) == 3
+        assert mpca.fit(SMALL, max_iters=1).init is None
+
+    @pytest.mark.parametrize("start", [
+        mpca.fit(random_samples(16, (6, 5, 6), seed=36), max_iters=0),
+        mpca.fit(SMALL[1:], max_iters=0),
+        mpca.fit(SMALL[:-1] + [SMALL[-1] + 1e-12], max_iters=0),
+        mpca.fit(SMALL, max_iters=1),
+    ], ids=["other-dims", "other-samples", "last-bit-other-samples",
+            "no-kept-initialization"])
+    def test_rejects_a_start_of_other_samples(self, start):
+        with pytest.raises(ValueError, match="start"):
+            mpca.fit(SMALL, max_iters=1, start=start)
+
+
 class TestSelectTop:
     def setup_method(self):
         rng = np.random.default_rng(12)
