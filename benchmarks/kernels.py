@@ -94,7 +94,9 @@ before numpy loads); the JSON records the thread count OpenBLAS reports,
 ``nproc``, the numpy, scipy and BLAS versions, and for each tree its git
 sha, whether its ``src`` differs from that commit, and a digest of its
 sources.
-``--kernels`` times only the kernels it names (all by default).
+``--kernels`` times only the kernels it names (all by default), and builds
+only the inputs they read: ``--kernels metrics.fit_score_squash`` generates
+no study and fits no MPCA model.
 This script is not a test and no CI step runs it.
 """
 
@@ -150,23 +152,109 @@ CV_EHR_COLUMNS = ["informative_3", "informative_0", "noise_26", "informative_1",
 CAPPED_FOLD = 2
 
 
-def default_study(mods: dict, study_dir: str) -> tuple:
-    """(study, config) of a default run at seed 0, generated into
-    ``study_dir``, then loaded, registered and uncertainty-filtered as
-    ``cardiofuse run`` does."""
-    pipeline = mods["pipeline"]
+def seeded_problem(rng) -> dict:
+    x = rng.normal(size=(200, 210))
+    y = (x[:, :5].sum(axis=1) + rng.normal(scale=2.0, size=200) > 0)
+    return {"x": x, "y": y.astype(np.int64)}
+
+
+def seeded_stacks(rng) -> dict:
+    basis = rng.normal(size=(32, 32, 8))
+    stacks = [basis * rng.normal() + 0.5 * rng.normal(size=(32, 32, 8))
+              for _ in range(280)]
+    return {"stacks": stacks, "tensor": stacks[0]}
+
+
+def seeded_mats(rng) -> dict:
+    return {"mats": {1: rng.normal(size=(30, 32)), 2: rng.normal(size=(30, 32)),
+                     3: rng.normal(size=(8, 8))}}
+
+
+def seeded_hires(rng) -> dict:
+    basis = rng.normal(size=(48, 48, 8))
+    return {"hires_stacks": [basis * rng.normal()
+                             + 0.5 * rng.normal(size=(48, 48, 8))
+                             for _ in range(224)]}
+
+
+def seeded_warp(rng) -> dict:
+    return {"warp_stacks": {h: rng.normal(size=(h, h, 8)) for h in (32, 48)}}
+
+
+def seeded_latents(rng) -> dict:
+    return {"latents": rng.normal(size=(224, 33_856)),
+            "latent_labels": rng.integers(0, 2, 224)}
+
+
+# the seeded inputs' names and draws, in the order they are drawn from one
+# generator seeded with 0
+SEEDED = ((("x", "y"), seeded_problem), (("stacks", "tensor"), seeded_stacks),
+          (("mats",), seeded_mats), (("hires_stacks",), seeded_hires),
+          (("warp_stacks",), seeded_warp),
+          (("latents", "latent_labels"), seeded_latents))
+SEEDED_STEPS = {name: k for k, (names, _) in enumerate(SEEDED)
+                for name in names}
+
+
+class Inputs(dict):
+    """Kernel inputs by name, each built on first use by ``BUILT[name]``
+    (with this tree's modules) or as one of the ``SEEDED`` draws, so a run
+    of a few kernels builds only what they read.
+
+    A seeded draw continues the generator from where the draw before it
+    left it, so each input holds the values it would in one pass over all
+    of them; the draws before it are made again only if never made, and
+    what they draw is dropped unless asked for.
+    """
+
+    def __init__(self, mods: dict):
+        super().__init__()
+        self.mods = mods
+        # step -> the generator's state before that draw
+        self.states = {0: np.random.default_rng(0).bit_generator.state}
+
+    def __missing__(self, name: str):
+        if name in BUILT:
+            self[name] = BUILT[name](self)
+            return self[name]
+        step = SEEDED_STEPS[name]
+        first = max(k for k in self.states if k <= step)
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self.states[first]
+        for k in range(first, step + 1):
+            self.states[k] = rng.bit_generator.state
+            drawn = SEEDED[k][1](rng)
+        self.states[step + 1] = rng.bit_generator.state
+        self.update(drawn)
+        return drawn[name]
+
+
+def default_dir(data: Inputs) -> tempfile.TemporaryDirectory:
+    """A default study at seed 0, generated into a temporary directory
+    (removed at exit)."""
+    pipeline = data.mods["pipeline"]
+    study_dir = tempfile.TemporaryDirectory()
+    pipeline.stage_generate(pipeline.load_config(), study_dir.name)
+    return study_dir
+
+
+def default_study(data: Inputs) -> tuple:
+    """(study, config) of a default run at seed 0 on ``default_dir``:
+    loaded, registered and uncertainty-filtered as ``cardiofuse run``
+    does."""
+    pipeline = data.mods["pipeline"]
     cfg = pipeline.load_config()
-    cfg["data_dir"] = study_dir
-    pipeline.stage_generate(cfg, study_dir)
+    cfg["data_dir"] = data["default_dir"].name
     study = pipeline.stage_load(cfg)
     pipeline.stage_preprocess(study)
     pipeline.stage_filtering(study, cfg)
     return study, cfg
 
 
-def cv_matrices(mods: dict, study, cfg: dict) -> dict:
+def cv_matrices(data: Inputs) -> dict:
     """Branch name -> (train features, labels) of a default run at seed 0."""
-    pipeline, fusion = mods["pipeline"], mods["fusion"]
+    pipeline, fusion = data.mods["pipeline"], data.mods["fusion"]
+    study, cfg = data["default_study"]
     config = pipeline.pipeline_config(cfg, CV_EHR_COLUMNS)
     splits = fusion._splits(study)
     labels = study.labels(splits["train"])
@@ -177,10 +265,19 @@ def cv_matrices(mods: dict, study, cfg: dict) -> dict:
             "ehr": (ehr["train"], labels)}
 
 
-def gat_graph(mods: dict, study, cfg: dict):
+def capped_rows(data: Inputs) -> tuple:
+    """The EHR train rows of the ``CAPPED_FOLD`` CV fold."""
+    ehr_x, ehr_y = data["cv"]["ehr"]
+    val = data.mods["svm"].stratified_folds(ehr_y, 10, seed=0)[CAPPED_FOLD]
+    train = np.setdiff1d(np.arange(len(ehr_y)), val)
+    return ehr_x[train], ehr_y[train]
+
+
+def gat_graph(data: Inputs):
     """The graph ``stage_select_features`` trains the GAT on."""
+    study, cfg = data["default_study"]
     nodes = study.by_split("train", "validation")
-    return mods["gat"].build_graph(
+    return data.mods["gat"].build_graph(
         study.tabular_matrix(nodes), target_degree=cfg["gat"]["target_degree"],
         labels=study.labels(nodes),
         train_mask=np.asarray([s.split == "train" for s in nodes]),
@@ -188,59 +285,27 @@ def gat_graph(mods: dict, study, cfg: dict):
         feature_names=study.feature_names)
 
 
-def inputs(mods: dict) -> dict:
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(200, 210))
-    y = (x[:, :5].sum(axis=1) + rng.normal(scale=2.0, size=200) > 0)
-    basis = rng.normal(size=(32, 32, 8))
-    stacks = [basis * rng.normal() + 0.5 * rng.normal(size=(32, 32, 8))
-              for _ in range(280)]
-    mats = {1: rng.normal(size=(30, 32)), 2: rng.normal(size=(30, 32)),
-            3: rng.normal(size=(8, 8))}
-    angle, scale = 0.04, 1.03
-    warp_matrix = scale * np.array([[np.cos(angle), -np.sin(angle)],
-                                    [np.sin(angle), np.cos(angle)]])
-    hires_basis = rng.normal(size=(48, 48, 8))
-    hires = [hires_basis * rng.normal() + 0.5 * rng.normal(size=(48, 48, 8))
-             for _ in range(224)]
-    default_dir = tempfile.TemporaryDirectory()  # removed at exit
-    study, cfg = default_study(mods, default_dir.name)
-    cv = cv_matrices(mods, study, cfg)
-    graph = gat_graph(mods, study, cfg)
-    # fixed parameters, from a generator of their own
-    gat_params = mods["gat"].init_params(mods["gat"].GatConfig(),
-                                         graph.n_features,
-                                         np.random.default_rng(GAT_SEED))
-    ehr_x, ehr_y = cv["ehr"]
-    val = mods["svm"].stratified_folds(ehr_y, 10, seed=0)[CAPPED_FOLD]
-    train = np.setdiff1d(np.arange(len(ehr_y)), val)
-    # a generator of its own, so the other kernels' inputs stay as they were
-    squash_rng = np.random.default_rng(1)
-    squash_labels = (squash_rng.random(SQUASH_N) < 0.4).astype(np.int64)
-    squash_scores = (1.5 * squash_labels + squash_rng.normal(size=SQUASH_N)
-                     - 0.5)
-    splits = mods["fusion"]._splits(study)
-    return {"x": x, "y": y.astype(np.int64), "stacks": stacks,
-            "tensor": stacks[0], "mats": mats,
-            "warp_stacks": {h: rng.normal(size=(h, h, 8)) for h in (32, 48)},
-            "warp_affine": (warp_matrix, np.array([0.7, -1.2])),
-            "latents": rng.normal(size=(224, 33_856)),
-            "latent_labels": rng.integers(0, 2, 224),
-            "hires_stacks": hires, "cv": cv,
-            "capped": (ehr_x[train], ehr_y[train]),
-            "graph": graph, "gat_params": gat_params,
-            "default_dir": default_dir,
-            "default_splits": (splits, study.labels(splits["train"]), cfg),
-            "hires_splits": hires_splits(mods, hires, cfg),
-            "squash": (squash_scores, squash_labels)}
+def gat_params(data: Inputs) -> dict:
+    """Fixed parameters, from a generator of their own."""
+    gat = data.mods["gat"]
+    return gat.init_params(gat.GatConfig(), data["graph"].n_features,
+                           np.random.default_rng(GAT_SEED))
 
 
-def hires_splits(mods: dict, stacks: list, cfg: dict) -> tuple:
+def default_splits(data: Inputs) -> tuple:
+    """(splits, train labels, config) of the default study."""
+    study, cfg = data["default_study"]
+    splits = data.mods["fusion"]._splits(study)
+    return splits, study.labels(splits["train"]), cfg
+
+
+def hires_splits(data: Inputs) -> tuple:
     """(splits, train labels, config) of an imaging branch on the 224
-    ``imaging_hires``-shaped ``stacks``: 224 train subjects whose short-axis
+    ``imaging_hires``-shaped stacks: 224 train subjects whose short-axis
     stack is one of them and four-chamber stack another, and 56 validation
     and 56 test subjects drawn from them too (the stacks are shared, not
     copied).  The labels come from a generator of their own."""
+    stacks, mods = data["hires_stacks"], data.mods
     rng = np.random.default_rng(3)
     n = len(stacks)
 
@@ -256,9 +321,27 @@ def hires_splits(mods: dict, stacks: list, cfg: dict) -> tuple:
               "validation": subjects("validation", 56),
               "test": subjects("test", 56)}
     labels = np.array([s.label for s in splits["train"]], dtype=np.int64)
-    return splits, labels, cfg
+    return splits, labels, mods["pipeline"].load_config()
 
 
+def squash_inputs(data: Inputs) -> tuple:
+    """(scores, labels) from a generator of their own."""
+    rng = np.random.default_rng(1)
+    labels = (rng.random(SQUASH_N) < 0.4).astype(np.int64)
+    return 1.5 * labels + rng.normal(size=SQUASH_N) - 0.5, labels
+
+
+# input name -> its builder, for the inputs that are not seeded draws
+BUILT = {"default_dir": default_dir, "default_study": default_study,
+         "cv": cv_matrices, "capped": capped_rows, "graph": gat_graph,
+         "gat_params": gat_params, "default_splits": default_splits,
+         "hires_splits": hires_splits, "squash": squash_inputs}
+
+
+# the warp kernels' affine: a small rotation, scaling and shift
+WARP_MATRIX = 1.03 * np.array([[np.cos(0.04), -np.sin(0.04)],
+                               [np.sin(0.04), np.cos(0.04)]])
+WARP_OFFSET = np.array([0.7, -1.2])
 SQUASH_N = 56  # scores of the metrics.fit_score_squash kernel
 GAT_SEED = 2  # seeds the loss_and_grads parameters; the dropout RNG is +1
 GENERATED_SUBJECTS = 40  # subjects of the synthetic.generate_synthetic kernel
@@ -315,21 +398,15 @@ WARP_CALLS = 100  # warps per sample: one call is ~0.5 ms
 GAT_CALLS = 10  # GAT epochs per sample: one call is ~10 ms
 
 
-def kernels(src: Path, mods: dict, data: dict) -> dict:
-    """name -> (input, fn returning the output arrays or None, calls per fn)."""
+def kernels(src: Path, mods: dict, data: Inputs) -> dict:
+    """name -> (input, factory, calls per fn); ``factory()`` reads the
+    kernel's inputs and returns the fn that returns the output arrays or
+    None."""
     svm, mpca, tensor3 = mods["svm"], mods["mpca"], mods["tensor3"]
     registration, synthetic = mods["registration"], mods["synthetic"]
     # the pipeline's CV grid and folds; grid_search_cv has no defaults for them
     svm_cfg = mods["pipeline"].DEFAULT_CONFIG["svm"]
-    study_dir = tempfile.TemporaryDirectory()  # removed at exit
-    affine = registration.AffineTransform(*data["warp_affine"])
-    hires_model = mpca.fit(data["hires_stacks"], max_iters=0,
-                           target_dims=(46, 46, 8))
-    dims_pass = mpca.fit(data["hires_stacks"], max_iters=0)
-    # a tree before MPCA's started fit refits from scratch, as its
-    # intermediate branch did
-    start = ({"start": dims_pass}
-             if "start" in inspect.signature(mpca.fit).parameters else {})
+    affine = registration.AffineTransform(WARP_MATRIX, WARP_OFFSET)
 
     def train(x, y, C):
         def fn():
@@ -338,12 +415,16 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
         return fn
 
     def cross_validate():
-        out = []
-        for x, y in data["cv"].values():
-            cv = svm.grid_search_cv(x, y, grid=svm_cfg["grid"],
-                                    folds=svm_cfg["folds"], epochs=15)
-            out += [np.array(cv.mean_aurocs), np.array([cv.chosen_c])]
-        return out
+        cv_data = data["cv"]
+
+        def fn():
+            out = []
+            for x, y in cv_data.values():
+                cv = svm.grid_search_cv(x, y, grid=svm_cfg["grid"],
+                                        folds=svm_cfg["folds"], epochs=15)
+                out += [np.array(cv.mean_aurocs), np.array([cv.chosen_c])]
+            return out
+        return fn
 
     def fit(stacks):
         def fn():
@@ -352,18 +433,31 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
         return fn
 
     def refine():
-        model, latents = mpca.fit(data["hires_stacks"], max_iters=1,
-                                  target_dims=dims_pass.target_dims,
-                                  latents=True, **start)
-        return model.projections + [model.mean_tensor,
-                                    np.array(model.scatter_trace), latents]
+        stacks = data["hires_stacks"]
+        dims_pass = mpca.fit(stacks, max_iters=0)
+        # a tree before MPCA's started fit refits from scratch, as its
+        # intermediate branch did
+        start = ({"start": dims_pass}
+                 if "start" in inspect.signature(mpca.fit).parameters else {})
+
+        def fn():
+            model, latents = mpca.fit(stacks, max_iters=1,
+                                      target_dims=dims_pass.target_dims,
+                                      latents=True, **start)
+            return model.projections + [model.mean_tensor,
+                                        np.array(model.scatter_trace), latents]
+        return fn
 
     def products():
-        out = []
-        for _ in range(PRODUCT_CALLS // 3):
-            out = [tensor3.mode_n_product(data["tensor"], m, n)
-                   for n, m in data["mats"].items()]
-        return out
+        tensor, mats = data["tensor"], data["mats"]
+
+        def fn():
+            out = []
+            for _ in range(PRODUCT_CALLS // 3):
+                out = [tensor3.mode_n_product(tensor, m, n)
+                       for n, m in mats.items()]
+            return out
+        return fn
 
     def warp(stack):
         # every output stays alive until the loop ends, as the registered
@@ -375,16 +469,21 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
         return fn
 
     def epoch():
-        # each call draws the same dropout masks from a fresh generator
-        config = mods["gat"].GatConfig()
-        for _ in range(GAT_CALLS):
-            loss, grads = mods["gat"].loss_and_grads(
-                data["gat_params"], config, data["graph"],
-                dropout_rng=np.random.default_rng(GAT_SEED + 1))
-        return [np.array([loss])] + [grads[name] for name in sorted(grads)]
+        graph, params = data["graph"], data["gat_params"]
+
+        def fn():
+            # each call draws the same dropout masks from a fresh generator
+            config = mods["gat"].GatConfig()
+            for _ in range(GAT_CALLS):
+                loss, grads = mods["gat"].loss_and_grads(
+                    params, config, graph,
+                    dropout_rng=np.random.default_rng(GAT_SEED + 1))
+            return [np.array([loss])] + [grads[name] for name in sorted(grads)]
+        return fn
 
     def rank():
-        return list(mpca.fisher_rank(data["latents"], data["latent_labels"]))
+        latents, labels = data["latents"], data["latent_labels"]
+        return lambda: list(mpca.fisher_rank(latents, labels))
 
     def select(splits, labels, cfg):
         def fn():
@@ -407,35 +506,47 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
         return out
 
     def project():
-        return [mpca.transform_flat(hires_model, data["hires_stacks"])]
+        stacks = data["hires_stacks"]
+        model = mpca.fit(stacks, max_iters=0, target_dims=(46, 46, 8))
+        return lambda: [mpca.transform_flat(model, stacks)]
 
     def load():
-        # references to what was read, not copies: the comparison after
-        # the timed rounds reads them
-        table = mods["data"].load_study(data["default_dir"].name)
-        names = json.dumps([table.feature_names, table.exclusions,
-                            [s.id for s in table.subjects]]).encode()
-        out = [np.frombuffer(names, dtype=np.uint8),
-               np.array([(s.label, s.order_key) for s in table.subjects])]
-        for s in table.subjects:
-            out.append(s.tabular)
-            for m in sorted(s.tensors):
-                out += [s.tensors[m], s.landmarks[m].points,
-                        s.landmarks[m].uncertainties]
-        return out
+        study_dir = data["default_dir"].name
+
+        def fn():
+            # references to what was read, not copies: the comparison after
+            # the timed rounds reads them
+            table = mods["data"].load_study(study_dir)
+            names = json.dumps([table.feature_names, table.exclusions,
+                                [s.id for s in table.subjects]]).encode()
+            out = [np.frombuffer(names, dtype=np.uint8),
+                   np.array([(s.label, s.order_key) for s in table.subjects])]
+            for s in table.subjects:
+                out.append(s.tabular)
+                for m in sorted(s.tensors):
+                    out += [s.tensors[m], s.landmarks[m].points,
+                            s.landmarks[m].uncertainties]
+            return out
+        return fn
 
     def generate():
-        synthetic.generate_synthetic(
-            synthetic.SyntheticSpec(seed=0, n_subjects=GENERATED_SUBJECTS),
-            study_dir.name)
-        digest = hashlib.sha256()
-        for path in sorted(Path(study_dir.name).rglob("*")):
-            if path.is_file():
-                digest.update(path.name.encode() + b"\0" + path.read_bytes())
-        return [np.frombuffer(digest.digest(), dtype=np.uint8)]
+        study_dir = tempfile.TemporaryDirectory()  # removed at exit
+
+        def fn():
+            synthetic.generate_synthetic(
+                synthetic.SyntheticSpec(seed=0, n_subjects=GENERATED_SUBJECTS),
+                study_dir.name)
+            digest = hashlib.sha256()
+            for path in sorted(Path(study_dir.name).rglob("*")):
+                if path.is_file():
+                    digest.update(path.name.encode() + b"\0"
+                                  + path.read_bytes())
+            return [np.frombuffer(digest.digest(), dtype=np.uint8)]
+        return fn
 
     def squash():
-        return [np.array(mods["metrics"].fit_score_squash(*data["squash"]))]
+        inputs = data["squash"]
+        return lambda: [np.array(mods["metrics"].fit_score_squash(*inputs))]
 
     def cold_import():
         subprocess.run([sys.executable, "-c", "import cardiofuse.pipeline"],
@@ -443,35 +554,41 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
 
     return {
         "svm.train_linear": ("200x210, C=0.1, 15 epochs",
-                             train(data["x"], data["y"], SVM_C), 1),
+                             lambda: train(data["x"], data["y"], SVM_C), 1),
         CAPPED: ("default run's EHR CV fold 3 train rows, C=1.0, 15 epochs",
-                 train(*data["capped"], CAPPED_C), 1),
+                 lambda: train(*data["capped"], CAPPED_C), 1),
         "svm.grid_search_cv": ("default run's 199x210 and 199x15, 4 C x 10"
                                " folds, 15 epochs", cross_validate, 1),
-        "mpca.fit": ("280 x 32x32x8, max_iters=1", fit(data["stacks"]), 1),
+        "mpca.fit": ("280 x 32x32x8, max_iters=1",
+                     lambda: fit(data["stacks"]), 1),
         "mpca.fit 48x48x8": ("224 x 48x48x8, max_iters=1",
-                             fit(data["hires_stacks"]), 1),
+                             lambda: fit(data["hires_stacks"]), 1),
         "mpca.fit 48x48x8 started": (
             "224 x 48x48x8, max_iters=1, latents, from its dims pass",
             refine, 1),
         "tensor3.mode_n_product": ("32x32x8 by 30x32 / 30x32 / 8x8, per call",
                                    products, PRODUCT_CALLS),
         "registration.warp_stack 32x32x8": (
-            "32x32x8, per call", warp(data["warp_stacks"][32]), WARP_CALLS),
+            "32x32x8, per call", lambda: warp(data["warp_stacks"][32]),
+            WARP_CALLS),
         "registration.warp_stack 48x48x8": (
-            "48x48x8, per call", warp(data["warp_stacks"][48]), WARP_CALLS),
+            "48x48x8, per call", lambda: warp(data["warp_stacks"][48]),
+            WARP_CALLS),
         "registration.warp_stack 48x48x8 float32": (
             "48x48x8 float32, per call",
-            warp(data["warp_stacks"][48].astype(np.float32)), WARP_CALLS),
+            lambda: warp(data["warp_stacks"][48].astype(np.float32)),
+            WARP_CALLS),
         "gat.loss_and_grads": ("seed-0 default graph, default GatConfig,"
                                " per call", epoch, GAT_CALLS),
         "mpca.fisher_rank": ("224 x 33,856", rank, 1),
         "fusion._imaging_features": ("seed-0 default study, intermediate"
                                      " short_axis + four_chamber",
-                                     select(*data["default_splits"]), 1),
+                                     lambda: select(*data["default_splits"]),
+                                     1),
         "fusion._imaging_features 48x48x8": (
             "224 / 56 / 56 subjects of 48x48x8 stacks, intermediate"
-            " short_axis + four_chamber", select(*data["hires_splits"]), 1),
+            " short_axis + four_chamber",
+            lambda: select(*data["hires_splits"]), 1),
         "mpca.transform_flat": ("224 x 48x48x8 onto 46x46x8",
                                 project, 1),
         "data.load_study": ("generated default study, seed 0, 400 subjects,"
@@ -480,7 +597,7 @@ def kernels(src: Path, mods: dict, data: dict) -> dict:
             f"{GENERATED_SUBJECTS} subjects, 32x32x8", generate, 1),
         "metrics.fit_score_squash": (f"{SQUASH_N} scores", squash, 1),
         "import cardiofuse.pipeline": ("fresh interpreter, per process",
-                                       cold_import, 1),
+                                       lambda: cold_import, 1),
     }
 
 
@@ -550,15 +667,17 @@ def main(argv=None) -> int:
         trees["baseline"] = args.baseline_src.resolve()
     mods = {tag: load_tree(src, f"cardiofuse_{tag}")
             for tag, src in trees.items()}
-    data = inputs(mods["current"])
-    suites = {tag: kernels(src, mods[tag], data) for tag, src in trees.items()}
-    if args.kernels:
-        unknown = sorted(set(args.kernels) - set(suites["current"]))
-        if unknown:
-            p.error(f"unknown kernels {unknown}; known:"
-                    f" {sorted(suites['current'])}")
-        suites = {tag: {name: suite[name] for name in args.kernels}
-                  for tag, suite in suites.items()}
+    data = Inputs(mods["current"])
+    tables = {tag: kernels(src, mods[tag], data) for tag, src in trees.items()}
+    names = args.kernels or list(tables["current"])
+    unknown = sorted(set(names) - set(tables["current"]))
+    if unknown:
+        p.error(f"unknown kernels {unknown}; known:"
+                f" {sorted(tables['current'])}")
+    # only the chosen kernels' factories run, so only their inputs are built
+    suites = {tag: {name: (table[name][0], table[name][1](), table[name][2])
+                    for name in names}
+              for tag, table in tables.items()}
 
     samples = {name: {tag: [] for tag in trees} for name in suites["current"]}
     outputs = {name: {} for name in samples}

@@ -37,11 +37,16 @@ from .metrics import auroc
 
 
 class _Edges(NamedTuple):
-    """Attention edges (v <- u), self-loops included, sorted by ``dst``."""
+    """Attention edges (v <- u), self-loops included, sorted by ``dst``,
+    and the transposed structure: the same edges in ``perm`` order, sorted
+    by ``src`` and, within a source, by ``dst``."""
     dst: np.ndarray                 # (E,) node v whose softmax holds the edge
     src: np.ndarray                 # (E,) neighbour u
     indptr: np.ndarray              # (V + 1,) CSR bounds of each dst segment
     weight: np.ndarray              # (E,) edge weight e_vu
+    perm: np.ndarray                # (E,) stable argsort of src
+    t_dst: np.ndarray               # (E,) dst[perm]
+    t_indptr: np.ndarray            # (V + 1,) CSR bounds of each src segment
 
 
 @dataclass(frozen=True)
@@ -64,8 +69,11 @@ class SubjectGraph:
         # row-major order sorts the edges by destination; no segment is empty
         dst, src = np.divmod(np.flatnonzero(self.adjacency), v)
         indptr = np.searchsorted(dst, np.arange(v + 1))
+        perm = np.argsort(src, kind="stable")
+        t_indptr = np.searchsorted(src[perm], np.arange(v + 1))
         object.__setattr__(self, "edges", _Edges(
-            dst, src, indptr, self.edge_weights[dst, src]))
+            dst, src, indptr, self.edge_weights[dst, src], perm, dst[perm],
+            t_indptr))
 
     @property
     def n_nodes(self) -> int:
@@ -248,6 +256,9 @@ def _forward(params: dict[str, np.ndarray], config: GatConfig,
     h = np.asarray(h, dtype=np.float64)
     v = h.shape[0]
     starts = edges.indptr[:-1]
+    # one CSR per call: each head writes its alpha into the data
+    attn = sparse.csr_array((np.empty(len(edges.dst)), edges.src,
+                             edges.indptr), shape=(v, v))
     cache = {"inputs": [], "heads": [], "drop": []}
 
     for l in range(len(config.hidden_dims)):
@@ -270,14 +281,13 @@ def _forward(params: dict[str, np.ndarray], config: GatConfig,
             else:
                 denom = np.add.reduceat(exps, starts)
             alpha = exps / denom[edges.dst]
-            attn = sparse.csr_array((alpha, edges.src, edges.indptr),
-                                    shape=(v, v))
             if order_invariant:
                 out_k = _segment_ordered_sum(alpha[:, None] * z[edges.src],
                                              edges)
             else:
+                attn.data[:] = alpha
                 out_k = attn @ z
-            head_caches.append({"z": z, "raw": raw, "attn": attn})
+            head_caches.append({"z": z, "raw": raw, "edge_alpha": alpha})
             out_sum = out_k if out_sum is None else out_sum + out_k
         h = out_sum / config.heads
         cache["heads"].append(head_caches)
@@ -303,9 +313,9 @@ def forward(params: dict[str, np.ndarray], config: GatConfig, g: SubjectGraph,
 
     Attention runs on the edge list of ``g.adjacency``: logits on the E
     edges, a segment softmax per destination node, and aggregation as a
-    sparse (CSR) product.  The cache's per-head ``"raw"`` logits are per
-    edge, ``"attn"`` is the (V, V) CSR attention matrix and ``"alpha"``
-    its dense form, zero off the edges.
+    sparse (CSR) product.  The cache's per-head ``"raw"`` logits and
+    ``"edge_alpha"`` weights are per edge, ``"attn"`` is the (V, V) CSR
+    attention matrix and ``"alpha"`` its dense form, zero off the edges.
 
     ``dropout_rng`` enables dropout after every attention layer.
     ``order_invariant`` makes all neighbor reductions value-sorted so logits
@@ -316,8 +326,13 @@ def forward(params: dict[str, np.ndarray], config: GatConfig, g: SubjectGraph,
                              order_invariant)
     if not return_cache:
         return logits
+    from scipy import sparse
+
+    edges, v = g.edges, g.n_nodes
     for layer in cache["heads"]:
         for head in layer:
+            head["attn"] = sparse.csr_array(
+                (head["edge_alpha"], edges.src, edges.indptr), shape=(v, v))
             head["alpha"] = head["attn"].toarray()
     return logits, cache
 
@@ -336,6 +351,8 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
                    dropout_rng: np.random.Generator | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Cross-entropy over train-masked nodes and exact gradients."""
+    from scipy import sparse
+
     edges = g.edges
     logits, cache = _forward(params, config, edges, g.node_features,
                              dropout_rng, order_invariant=False)
@@ -358,6 +375,11 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
     d_h = d_logits @ params["dec.W"]
 
     starts = edges.indptr[:-1]
+    # attn.T as a CSR of its own, for every head: each writes its alpha in
+    # the transposed order, which sums each source's terms in dst order as
+    # the CSC form of attn.T does
+    attn_t = sparse.csr_array((np.empty(len(edges.dst)), edges.t_dst,
+                               edges.t_indptr), shape=(v, v))
     for l in reversed(range(len(config.hidden_dims))):
         scale = cache["drop"][l]
         if scale is not None:
@@ -370,12 +392,12 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
             w, a_s, a_d = params[p + "W"], params[p + "a_s"], params[p + "a_d"]
             a_e, w_e = params[p + "a_e"], params[p + "w_e"]
             hc = cache["heads"][l][k]
-            z_k, raw, attn = hc["z"], hc["raw"], hc["attn"]
-            alpha = attn.data
+            z_k, raw, alpha = hc["z"], hc["raw"], hc["edge_alpha"]
 
             # one BLAS product and a gather beat a per-edge row dot product
             d_alpha = (d_out @ z_k.T)[edges.dst, edges.src]
-            d_z = attn.T @ d_out
+            attn_t.data[:] = alpha[edges.perm]
+            d_z = attn_t @ d_out
             d_logit = alpha * (d_alpha - np.add.reduceat(d_alpha * alpha,
                                                          starts)[edges.dst])
             d_g = d_logit * _leaky_grad(raw, config.leaky_slope)

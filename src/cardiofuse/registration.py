@@ -15,11 +15,14 @@ to 0.0 in the order (r0, c0), (r0, c1), (r1, c0), (r1, c1), each as
 ``(value * w_row) * w_col``.  As in ndimage, the arithmetic is float64
 and the output has the input's dtype: a float32 stack comes back float32,
 each sample rounded once from its float64 value; a stack of any other
-dtype is read as float64 and comes back float64.
+dtype is read as float64 and comes back float64.  The taps are gathered
+from a frame-major float64 copy of the stack and the pixel grid is kept
+per frame shape; neither changes a value or the order of the arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +103,16 @@ def affine_from_landmarks(src_points, template_points, *,
     return AffineTransform(matrix=params[:2].T.copy(), offset=params[2].copy())
 
 
+@functools.lru_cache(maxsize=16)
+def _pixel_grid(h: int, w: int) -> np.ndarray:
+    """The (H * W, 2) float64 (x, y) coordinates of every pixel of an
+    (H, W) frame, row-major; read-only, as it is kept per shape."""
+    cols, rows = np.meshgrid(np.arange(w), np.arange(h))  # (H, W) each
+    grid = np.stack([cols.ravel(), rows.ravel()], axis=1).astype(np.float64)
+    grid.flags.writeable = False
+    return grid
+
+
 def _bilinear_taps(coords: np.ndarray, n: int):
     """Lower and upper tap indices and their weights along one axis.
 
@@ -109,7 +122,7 @@ def _bilinear_taps(coords: np.ndarray, n: int):
     lower = np.floor(coords).astype(np.intp)
     w0 = 1.0 - (coords - lower)
     w1 = 1.0 - w0
-    return lower, np.minimum(lower + 1, n - 1), w0[:, None], w1[:, None]
+    return lower, np.minimum(lower + 1, n - 1), w0, w1
 
 
 def warp_stack(t: np.ndarray, a: AffineTransform) -> np.ndarray:
@@ -118,24 +131,28 @@ def warp_stack(t: np.ndarray, a: AffineTransform) -> np.ndarray:
     ``a`` maps output (template) coordinates to input (source) coordinates,
     i.e. inverse warping.  Bilinear interpolation, zero fill outside; all
     frames share one gather (see the module docstring for the arithmetic).
+    The taps are gathered from a frame-major float64 copy of the stack, so
+    each tap of each frame is one contiguous row of the sample points, and
+    each weighting multiplies whole rows by a vector of per-point weights.
     The output is float32 for a float32 ``t``, else float64; the
     arithmetic is float64 either way.
     """
     t = np.asarray(t)
     dtype = np.float32 if t.dtype == np.float32 else np.float64
-    t = t.astype(np.float64, copy=False)
     h, w, n_frames = t.shape
-    cols, rows = np.meshgrid(np.arange(w), np.arange(h))  # (H, W) each
-    src = a.apply(np.stack([cols.ravel(), rows.ravel()], axis=1))
+    src = a.apply(_pixel_grid(h, w))
     r, c = src[:, 1], src[:, 0]
     inside = np.flatnonzero((r >= 0) & (r <= h - 1) & (c >= 0) & (c <= w - 1))
     r0, r1, wr0, wr1 = _bilinear_taps(r[inside], h)
     c0, c1, wc0, wc1 = _bilinear_taps(c[inside], w)
-    pixels = t.reshape(h * w, n_frames)
-    # one gather of the taps (r0, c0), (r0, c1), (r1, c0), (r1, c1)
-    taps = pixels.take(np.concatenate([r0 * w + c0, r0 * w + c1,
-                                       r1 * w + c0, r1 * w + c1]),
-                       axis=0).reshape(4, -1, n_frames)
+    # (T, H * W): frame k's pixels are one contiguous row
+    frames = np.ascontiguousarray(t.transpose(2, 0, 1),
+                                  dtype=np.float64).reshape(n_frames, h * w)
+    # the taps (r0, c0), (r0, c1), (r1, c0), (r1, c1), each (T, n)
+    taps = np.empty((4, n_frames, len(inside)))
+    for tap, index in zip(taps, (r0 * w + c0, r0 * w + c1,
+                                 r1 * w + c0, r1 * w + c1)):
+        frames.take(index, axis=1, out=tap)
     taps[:2] *= wr0
     taps[2:] *= wr1
     taps[0::2] *= wc0
@@ -148,7 +165,7 @@ def warp_stack(t: np.ndarray, a: AffineTransform) -> np.ndarray:
     acc += taps[2]
     acc += taps[3]
     out = np.zeros((h * w, n_frames), dtype=dtype)
-    out[inside] = acc  # float32 output: one rounding per sample
+    out[inside] = acc.T  # float32 output: one rounding per sample
     return out.reshape(h, w, n_frames)
 
 

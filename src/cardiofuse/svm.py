@@ -6,11 +6,14 @@ SMO with second-order working-set selection (Platt 1998; Fan, Chen & Lin,
 JMLR 2005).  The solver is deterministic.  Features are standardized
 internally, by ``standardize``, so every fusion branch gets identical
 treatment; the GAT's subject graph is built on the same standardizer.
+Grid-search CV standardizes each fold's train rows and builds their Gram
+matrix once, and fits every C of the grid on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +60,37 @@ def hinge_objective(w: np.ndarray, b: float, x: np.ndarray, y_pm: np.ndarray,
     return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(margins, 0.0)))
 
 
+class _Prepared(NamedTuple):
+    """What a fit needs of its features whatever C: the standardized rows,
+    their scaler, the Gram matrix and the pair curvature."""
+    x: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    gram: np.ndarray
+    curvature: np.ndarray
+
+
+def _prepare(x_raw: np.ndarray) -> _Prepared:
+    """Standardize ``x_raw`` and build its Gram matrix, one matrix-vector
+    product per row, and the curvature ||x_i - x_t||^2 floored at
+    ``_TAU``."""
+    x, mean, std = standardize(x_raw)
+    m = len(x)
+    gram = np.empty((m, m))
+    for t in range(m):
+        np.dot(x, x[t], out=gram[t])
+    diag = gram.diagonal()
+    # (diag_i + diag_t) - 2 gram_it, built in place: as one expression, with
+    # three m x m temporaries, it raised a default run's peak RSS by ~9 MB
+    curvature = np.add(diag[:, None], diag)
+    curvature -= 2.0 * gram
+    np.maximum(curvature, _TAU, out=curvature)
+    return _Prepared(x, mean, std, gram, curvature)
+
+
 def train_linear(features: np.ndarray, labels, C: float = 1.0,
-                 epochs: int = 300) -> LinearClassifier:
+                 epochs: int = 300, *,
+                 prepared: _Prepared | None = None) -> LinearClassifier:
     """Fit the hinge-loss classifier by SMO on the dual, in at most
     ``epochs * m`` pair steps for m samples.
 
@@ -86,6 +118,13 @@ def train_linear(features: np.ndarray, labels, C: float = 1.0,
     The Gram matrix is built one matrix-vector product per row: a
     matrix-matrix product sums in an order that depends on the BLAS thread
     count, and the fit must not.
+
+    The standardized rows, their scaler, the Gram matrix and the curvature
+    do not depend on C or the labels.  ``prepared`` passes them in, as
+    ``_prepare(features)`` builds them, so fits of one matrix at several C
+    build them once; without it the fit builds its own.  The inputs are
+    checked either way, and a preparation of another shape than
+    ``features`` raises ValueError.
     """
     x_raw = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -101,19 +140,15 @@ def train_linear(features: np.ndarray, labels, C: float = 1.0,
         raise ValueError(
             f"epochs must be a non-negative integer, not {epochs!r}")
 
-    x, mean, std = standardize(x_raw)
+    if prepared is None:
+        prepared = _prepare(x_raw)
+    elif prepared.x.shape != x_raw.shape:
+        raise ValueError(f"preparation of shape {prepared.x.shape} for"
+                         f" features of shape {x_raw.shape}")
+    x, mean, std, gram, curvature = prepared
     y_pm = np.where(y == 1, 1.0, -1.0)
     m = len(y_pm)
 
-    gram = np.empty((m, m))
-    for t in range(m):
-        np.dot(x, x[t], out=gram[t])
-    diag = gram.diagonal()
-    # (diag_i + diag_t) - 2 gram_it, built in place: as one expression, with
-    # three m x m temporaries, it raised a default run's peak RSS by ~9 MB
-    curvature = np.add(diag[:, None], diag)
-    curvature -= 2.0 * gram
-    np.maximum(curvature, _TAU, out=curvature)
     lo_arr, hi_arr = np.minimum(C * y_pm, 0.0), np.maximum(C * y_pm, 0.0)
     lo, hi = lo_arr.tolist(), hi_arr.tolist()
     beta = [0.0] * m
@@ -193,22 +228,26 @@ def grid_search_cv(features: np.ndarray, labels, grid, folds: int,
 
     Standardization happens inside each fold's training portion only
     (``train_linear`` fits its scaler on the data it sees).  Each fold's
-    rows are taken once and reused for every C.
+    rows are taken once, and its standardized rows, Gram matrix and
+    curvature built once, then shared by the fits at every C; only one
+    fold's are held at a time.  Each C's mean is taken over its per-fold
+    AUROCs in fold order.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     all_idx = np.arange(len(y))
-    splits = []
+    fold_scores = [[] for _ in grid]
     for val in stratified_folds(y, folds, seed=seed):
         train = np.setdiff1d(all_idx, val)
-        splits.append((x[train], y[train], x[val], y[val]))
-    means = []
-    for C in grid:
-        fold_scores = []
-        for x_train, y_train, x_val, y_val in splits:
-            clf = train_linear(x_train, y_train, C=C, epochs=epochs)
-            fold_scores.append(auroc(decision_scores(clf, x_val), y_val))
-        means.append(float(np.mean(fold_scores)))
+        x_train, y_train, x_val, y_val = x[train], y[train], x[val], y[val]
+        prepared = _prepare(x_train)
+        for scores, C in zip(fold_scores, grid):
+            clf = train_linear(x_train, y_train, C=C, epochs=epochs,
+                               prepared=prepared)
+            scores.append(auroc(decision_scores(clf, x_val), y_val))
+        # dropped before the next fold's is built: one fold's at a time
+        del prepared
+    means = [float(np.mean(scores)) for scores in fold_scores]
     order = sorted(range(len(grid)), key=lambda i: (-means[i], grid[i]))
     return CvGridResult(grid=list(grid), mean_aurocs=means,
                         chosen_c=float(grid[order[0]]))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
+from cardiofuse import registration, synthetic
 from cardiofuse.registration import (AffineTransform, DegenerateLandmarksError,
                                      LandmarkSet, affine_from_landmarks,
                                      build_template, register_stack,
@@ -227,6 +228,46 @@ class TestWarpMatchesNdimage:
         ints = rng.integers(-5, 5, size=(6, 6, 2))
         assert warp_stack(ints, a).tobytes() == ndimage_warp(
             ints.astype(np.float64), a).tobytes()
+
+
+class TestPixelGrid:
+    """The warp's pixel coordinates are kept per frame shape, read-only."""
+
+    def test_kept_per_shape_and_read_only(self):
+        grid = registration._pixel_grid(5, 7)
+        assert registration._pixel_grid(5, 7) is grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+        cols, rows = np.meshgrid(np.arange(7), np.arange(5))
+        expected = np.stack([cols.ravel(), rows.ravel()], axis=1)
+        assert grid.dtype == np.float64 and grid.flags.c_contiguous
+        assert grid.tobytes() == expected.astype(np.float64).tobytes()
+        other = registration._pixel_grid(7, 5)
+        assert other is not grid and other.shape == (35, 2)
+
+
+class TestGeneratorWarp:
+    """A generated study is byte-identical to the one the per-frame ndimage
+    warp makes, file for file."""
+
+    @pytest.mark.parametrize("dims", [(32, 32, 8), (48, 48, 8)])
+    def test_study_matches_ndimage_generator(self, dims, tmp_path,
+                                             monkeypatch):
+        spec = synthetic.SyntheticSpec(seed=5, n_subjects=12, dims=dims)
+        synthetic.generate_synthetic(spec, tmp_path / "numpy")
+        monkeypatch.setattr(synthetic, "warp_stack", ndimage_warp)
+        synthetic.generate_synthetic(spec, tmp_path / "ndimage")
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        ours, reference = files(tmp_path / "numpy"), files(tmp_path / "ndimage")
+        assert sum(name.suffix == ".hft" for name in ours) == 2 * 12
+        assert list(ours) == list(reference)
+        for name in ours:
+            assert ours[name] == reference[name], name
 
 
 class TestWarpFloat32:

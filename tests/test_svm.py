@@ -340,3 +340,97 @@ class TestCrossValidation:
                                     folds=4, epochs=100)
         if len(set(result.mean_aurocs)) == 1:
             assert result.chosen_c == 0.001
+
+
+class TestSharedPreparation:
+    """``grid_search_cv`` builds each fold's standardized rows, Gram matrix
+    and curvature once and passes them to that fold's fits through
+    ``train_linear(..., prepared=)``; nothing of the result may move."""
+
+    @pytest.mark.parametrize("problem, C, epochs", [
+        (seeded_problem(0, 210, 0.0), 0.1, 300),
+        (seeded_problem(1, 15, 3.0), 1.0, 15),
+        (blobs(20, 1.0, seed=15, d=3), 1e-4, 300),
+        (seeded_problem(1, 15, 3.0), 1.0, 0),
+    ], ids=["separable", "cap-bound", "midpoint-bias", "epochs-0"])
+    def test_prepared_fit_gives_the_plain_bytes(self, problem, C, epochs):
+        x, y = problem
+        plain = svm.train_linear(x, y, C=C, epochs=epochs)
+        shared = svm.train_linear(x, y, C=C, epochs=epochs,
+                                  prepared=svm._prepare(x))
+        assert shared.weights.tobytes() == plain.weights.tobytes()
+        for field in ("bias", "kkt_gap"):
+            assert (np.float64(getattr(shared, field)).tobytes()
+                    == np.float64(getattr(plain, field)).tobytes())
+        assert shared.steps == plain.steps
+        assert shared.scaler_mean.tobytes() == plain.scaler_mean.tobytes()
+        assert shared.scaler_std.tobytes() == plain.scaler_std.tobytes()
+
+    def test_mismatched_preparation_rejected(self):
+        x, y = seeded_problem(1, 15, 3.0)
+        for other in (x[:-1], x[:, :-1]):
+            with pytest.raises(ValueError, match="preparation"):
+                svm.train_linear(x, y, C=1.0, prepared=svm._prepare(other))
+        # the inputs are still checked when a preparation is given
+        bad = x.copy()
+        bad[0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            svm.train_linear(bad, y, C=1.0, prepared=svm._prepare(x))
+
+    # 199 x 210 is separable, as the imaging branch's CV matrix is; 199 x 15
+    # overlaps, as the EHR branch's does
+    @pytest.mark.parametrize("problem", [seeded_problem(0, 210, 0.0),
+                                         seeded_problem(1, 15, 1.5)],
+                             ids=["separable", "overlapping"])
+    def test_grid_matches_unshared_fits_bytes(self, problem):
+        x, y = problem
+        grid, folds = [0.001, 0.01, 0.1, 1.0], 10
+        result = svm.grid_search_cv(x, y, grid=grid, folds=folds, epochs=15)
+        all_idx = np.arange(len(y))
+        splits = [(np.setdiff1d(all_idx, val), val)
+                  for val in svm.stratified_folds(y, folds, seed=0)]
+        means = []
+        for C in grid:
+            scores = []
+            for train, val in splits:
+                clf = svm.train_linear(x[train], y[train], C=C, epochs=15)
+                scores.append(auroc(svm.decision_scores(clf, x[val]), y[val]))
+            means.append(float(np.mean(scores)))
+        assert np.array(result.mean_aurocs).tobytes() == np.array(means).tobytes()
+        best = max(range(len(grid)), key=lambda i: (means[i], -grid[i]))
+        assert result.chosen_c == grid[best]
+
+    def test_grid_calls_train_linear_once_per_c_and_fold(self, monkeypatch):
+        calls = []
+        original = svm.train_linear
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("prepared"))
+            return original(*args, **kwargs)
+
+        # the module binding, which a tracer patches too
+        monkeypatch.setattr(svm, "train_linear", counted)
+        x, y = blobs(20, 1.5, seed=11, d=4)
+        svm.grid_search_cv(x, y, grid=[0.01, 0.1, 1.0], folds=5, epochs=50)
+        assert len(calls) == 3 * 5
+        # each fold's three fits share one preparation, and no two folds do
+        assert len({id(p) for p in calls}) == 5
+        assert all(p is not None for p in calls)
+
+    def test_one_fold_preparation_held_at_a_time(self):
+        import tracemalloc
+
+        x, y = seeded_problem(0, 210, 0.0)
+        val = svm.stratified_folds(y, 10, seed=0)[0]
+        train = np.setdiff1d(np.arange(len(y)), val)
+        one_fold = sum(a.nbytes for a in svm._prepare(x[train]))
+        # a first call's one-off allocations (lazy imports) are not its own
+        svm.grid_search_cv(x, y, grid=[0.1], folds=10, epochs=1)
+        tracemalloc.start()
+        try:
+            svm.grid_search_cv(x, y, grid=[0.001, 0.01, 0.1, 1.0], folds=10,
+                               epochs=15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * one_fold
