@@ -41,6 +41,10 @@ epoch's loss and gradients on the graph ``stage_select_features`` builds
 from the default study below, with the default ``GatConfig``, parameters
 from ``init_params`` at a fixed seed and a dropout generator re-seeded
 each call; the loss and every gradient are compared),
+``gat.ablation_importance`` (the baseline and one ablated forward per
+feature, 49 forwards, on that graph with those parameters; the baseline
+AUROC, the deltas and the ranking are compared; each tree derives the
+graph's edge list itself),
 ``data.load_study`` (the generated default study below, read from disk:
 every tensor, EHR row, label, screening time and landmark set, the
 feature names and the exclusions are compared),
@@ -109,6 +113,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import ctypes  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
@@ -283,6 +288,13 @@ def gat_graph(data: Inputs):
         train_mask=np.asarray([s.split == "train" for s in nodes]),
         val_mask=np.asarray([s.split == "validation" for s in nodes]),
         feature_names=study.feature_names)
+
+
+def own_graph(gat, g):
+    """``g`` as a ``SubjectGraph`` of ``gat``'s tree, which derives the edge
+    list its own way."""
+    return gat.SubjectGraph(**{f.name: getattr(g, f.name)
+                               for f in dataclasses.fields(g) if f.init})
 
 
 def gat_params(data: Inputs) -> dict:
@@ -469,7 +481,7 @@ def kernels(src: Path, mods: dict, data: Inputs) -> dict:
         return fn
 
     def epoch():
-        graph, params = data["graph"], data["gat_params"]
+        graph, params = own_graph(mods["gat"], data["graph"]), data["gat_params"]
 
         def fn():
             # each call draws the same dropout masks from a fresh generator
@@ -479,6 +491,19 @@ def kernels(src: Path, mods: dict, data: Inputs) -> dict:
                     params, config, graph,
                     dropout_rng=np.random.default_rng(GAT_SEED + 1))
             return [np.array([loss])] + [grads[name] for name in sorted(grads)]
+        return fn
+
+    def ablate():
+        gat = mods["gat"]
+        graph = own_graph(gat, data["graph"])
+        model = gat.GatModel(config=gat.GatConfig(), in_dim=graph.n_features,
+                             params=data["gat_params"])
+        theta = mods["pipeline"].DEFAULT_CONFIG["gat"]["theta"]
+
+        def fn():
+            report = gat.ablation_importance(model, graph, theta)
+            return [np.array([report.baseline_auroc]), report.deltas,
+                    report.ranking]
         return fn
 
     def rank():
@@ -580,6 +605,8 @@ def kernels(src: Path, mods: dict, data: Inputs) -> dict:
             WARP_CALLS),
         "gat.loss_and_grads": ("seed-0 default graph, default GatConfig,"
                                " per call", epoch, GAT_CALLS),
+        "gat.ablation_importance": ("seed-0 default graph, default GatConfig,"
+                                    " 49 forwards", ablate, 1),
         "mpca.fisher_rank": ("224 x 33,856", rank, 1),
         "fusion._imaging_features": ("seed-0 default study, intermediate"
                                      " short_axis + four_chamber",

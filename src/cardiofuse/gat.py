@@ -21,7 +21,8 @@ Attention is computed on the edge list of the adjacency (message passing),
 not on dense V x V matrices: the E edges are sorted by destination v, so
 each softmax over N(v) is one contiguous segment, reduced with
 ``np.maximum.reduceat`` / ``np.add.reduceat``, and the aggregation is a
-CSR product.  The backward pass uses the same segments.
+CSR product.  The backward pass uses the same segments, and the same CSR
+read through its transpose.
 """
 
 from __future__ import annotations
@@ -37,16 +38,11 @@ from .metrics import auroc
 
 
 class _Edges(NamedTuple):
-    """Attention edges (v <- u), self-loops included, sorted by ``dst``,
-    and the transposed structure: the same edges in ``perm`` order, sorted
-    by ``src`` and, within a source, by ``dst``."""
+    """Attention edges (v <- u), self-loops included, sorted by ``dst``."""
     dst: np.ndarray                 # (E,) node v whose softmax holds the edge
     src: np.ndarray                 # (E,) neighbour u
     indptr: np.ndarray              # (V + 1,) CSR bounds of each dst segment
     weight: np.ndarray              # (E,) edge weight e_vu
-    perm: np.ndarray                # (E,) stable argsort of src
-    t_dst: np.ndarray               # (E,) dst[perm]
-    t_indptr: np.ndarray            # (V + 1,) CSR bounds of each src segment
 
 
 @dataclass(frozen=True)
@@ -69,11 +65,8 @@ class SubjectGraph:
         # row-major order sorts the edges by destination; no segment is empty
         dst, src = np.divmod(np.flatnonzero(self.adjacency), v)
         indptr = np.searchsorted(dst, np.arange(v + 1))
-        perm = np.argsort(src, kind="stable")
-        t_indptr = np.searchsorted(src[perm], np.arange(v + 1))
         object.__setattr__(self, "edges", _Edges(
-            dst, src, indptr, self.edge_weights[dst, src], perm, dst[perm],
-            t_indptr))
+            dst, src, indptr, self.edge_weights[dst, src]))
 
     @property
     def n_nodes(self) -> int:
@@ -247,7 +240,8 @@ def _forward(params: dict[str, np.ndarray], config: GatConfig,
              edges: _Edges, h: np.ndarray,
              dropout_rng: np.random.Generator | None,
              order_invariant: bool):
-    """Logits and the per-edge backward cache (see :func:`forward`)."""
+    """Logits and the backward cache (see :func:`forward`); its ``"attn"``
+    is the pass's (V, V) CSR, which the backward reuses."""
     # imported here, not with the package: ``scipy.sparse`` is about 0.3 s
     # of a cold start, and a process that only generates or loads a study
     # never runs the GAT
@@ -256,10 +250,10 @@ def _forward(params: dict[str, np.ndarray], config: GatConfig,
     h = np.asarray(h, dtype=np.float64)
     v = h.shape[0]
     starts = edges.indptr[:-1]
-    # one CSR per call: each head writes its alpha into the data
+    # one CSR per pass: each head writes its alpha into the data
     attn = sparse.csr_array((np.empty(len(edges.dst)), edges.src,
                              edges.indptr), shape=(v, v))
-    cache = {"inputs": [], "heads": [], "drop": []}
+    cache = {"inputs": [], "heads": [], "drop": [], "attn": attn}
 
     for l in range(len(config.hidden_dims)):
         cache["inputs"].append(h)
@@ -305,7 +299,6 @@ def _forward(params: dict[str, np.ndarray], config: GatConfig,
 
 
 def forward(params: dict[str, np.ndarray], config: GatConfig, g: SubjectGraph,
-            dropout_rng: np.random.Generator | None = None,
             features_override: np.ndarray | None = None,
             return_cache: bool = False,
             order_invariant: bool = False):
@@ -314,26 +307,22 @@ def forward(params: dict[str, np.ndarray], config: GatConfig, g: SubjectGraph,
     Attention runs on the edge list of ``g.adjacency``: logits on the E
     edges, a segment softmax per destination node, and aggregation as a
     sparse (CSR) product.  The cache's per-head ``"raw"`` logits and
-    ``"edge_alpha"`` weights are per edge, ``"attn"`` is the (V, V) CSR
-    attention matrix and ``"alpha"`` its dense form, zero off the edges.
+    ``"edge_alpha"`` weights are per edge, and ``"alpha"`` is the dense
+    (V, V) attention matrix, zero off the edges.
 
-    ``dropout_rng`` enables dropout after every attention layer.
     ``order_invariant`` makes all neighbor reductions value-sorted so logits
     are bit-identical under node relabeling (used by property tests; slower).
     """
     h = g.node_features if features_override is None else features_override
-    logits, cache = _forward(params, config, g.edges, h, dropout_rng,
+    logits, cache = _forward(params, config, g.edges, h, None,
                              order_invariant)
     if not return_cache:
         return logits
-    from scipy import sparse
-
     edges, v = g.edges, g.n_nodes
     for layer in cache["heads"]:
         for head in layer:
-            head["attn"] = sparse.csr_array(
-                (head["edge_alpha"], edges.src, edges.indptr), shape=(v, v))
-            head["alpha"] = head["attn"].toarray()
+            head["alpha"] = np.zeros((v, v))
+            head["alpha"][edges.dst, edges.src] = head["edge_alpha"]
     return logits, cache
 
 
@@ -351,8 +340,6 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
                    dropout_rng: np.random.Generator | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Cross-entropy over train-masked nodes and exact gradients."""
-    from scipy import sparse
-
     edges = g.edges
     logits, cache = _forward(params, config, edges, g.node_features,
                              dropout_rng, order_invariant=False)
@@ -375,11 +362,10 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
     d_h = d_logits @ params["dec.W"]
 
     starts = edges.indptr[:-1]
-    # attn.T as a CSR of its own, for every head: each writes its alpha in
-    # the transposed order, which sums each source's terms in dst order as
-    # the CSC form of attn.T does
-    attn_t = sparse.csr_array((np.empty(len(edges.dst)), edges.t_dst,
-                               edges.t_indptr), shape=(v, v))
+    # the forward's CSR and its transpose, a CSC view that shares its data:
+    # each head writes its alpha into attn and multiplies by attn.T
+    attn = cache["attn"]
+    attn_t = attn.T
     for l in reversed(range(len(config.hidden_dims))):
         scale = cache["drop"][l]
         if scale is not None:
@@ -396,7 +382,7 @@ def loss_and_grads(params: dict[str, np.ndarray], config: GatConfig,
 
             # one BLAS product and a gather beat a per-edge row dot product
             d_alpha = (d_out @ z_k.T)[edges.dst, edges.src]
-            attn_t.data[:] = alpha[edges.perm]
+            attn.data[:] = alpha
             d_z = attn_t @ d_out
             d_logit = alpha * (d_alpha - np.add.reduceat(d_alpha * alpha,
                                                          starts)[edges.dst])

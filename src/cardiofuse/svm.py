@@ -21,6 +21,7 @@ from .metrics import auroc
 
 KKT_TOL = 1e-3  # stop once the maximal KKT violation falls below this
 _TAU = 1e-12    # curvature floor for a pair of identical rows
+_ROW_BLOCK = 32  # curvature rows that share one 2 * gram temporary
 
 
 @dataclass
@@ -80,10 +81,16 @@ def _prepare(x_raw: np.ndarray) -> _Prepared:
     for t in range(m):
         np.dot(x, x[t], out=gram[t])
     diag = gram.diagonal()
-    # (diag_i + diag_t) - 2 gram_it, built in place: as one expression, with
-    # three m x m temporaries, it raised a default run's peak RSS by ~9 MB
-    curvature = np.add(diag[:, None], diag)
-    curvature -= 2.0 * gram
+    # (diag_i + diag_t) - 2 gram_it with that expression's arithmetic but no
+    # m x m temporary (three raised a default run's peak RSS by ~9 MB): a
+    # broadcast copy and an add, which numpy does not buffer as it does a
+    # broadcast sum, then 2 gram a block of rows at a time
+    curvature = np.empty((m, m))
+    curvature[:] = diag[:, None]
+    curvature += diag
+    for start in range(0, m, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        curvature[rows] -= 2.0 * gram[rows]
     np.maximum(curvature, _TAU, out=curvature)
     return _Prepared(x, mean, std, gram, curvature)
 

@@ -113,6 +113,18 @@ def isolate_node(g, v):
     return dataclasses.replace(g, adjacency=adjacency, edge_weights=weights)
 
 
+def drop_reverse_edges(g):
+    """``g`` without every other edge (v, u), v > u, that ``build_graph``
+    made: (u, v) stays, so the attention structure is no longer symmetric."""
+    upper = np.triu(g.adjacency, k=1)
+    dst, src = np.nonzero(upper.T)
+    cut = np.zeros_like(g.adjacency)
+    cut[dst[::2], src[::2]] = True
+    adjacency = g.adjacency & ~cut
+    weights = np.where(cut, 0.0, g.edge_weights)
+    return dataclasses.replace(g, adjacency=adjacency, edge_weights=weights)
+
+
 class TestBuildGraph:
     def test_identical_rows_weight_one(self):
         x = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
@@ -309,12 +321,18 @@ class TestForward:
 class TestDenseOracle:
     """The edge-list attention against :func:`dense_forward`."""
 
-    CASES = [(0, 7, False), (1, 12, True), (2, 20, False), (3, 9, True)]
+    # the third field cuts edges of build_graph's graph: True isolates node
+    # 1, "directed" drops some (v, u) but keeps their (u, v)
+    CASES = [(0, 7, False), (1, 12, True), (2, 20, False), (3, 9, True),
+             (4, 16, "directed")]
 
     @staticmethod
-    def _setup(seed, n, isolated):
+    def _setup(seed, n, cut):
         g = small_graph(seed=seed, n=n, d=5, target_degree=3)
-        if isolated:
+        if cut == "directed":
+            g = drop_reverse_edges(g)
+            assert not np.array_equal(g.adjacency, g.adjacency.T)
+        elif cut:
             g = isolate_node(g, 1)
             assert g.adjacency[1].sum() == 1
         cfg = GatConfig(hidden_dims=(6, 5), heads=3, edge_dim=4, seed=seed)
@@ -322,9 +340,9 @@ class TestDenseOracle:
                                  np.random.default_rng(seed + 20))
         return g, cfg, params
 
-    @pytest.mark.parametrize("seed,n,isolated", CASES)
-    def test_logits_and_attention_match(self, seed, n, isolated):
-        g, cfg, params = self._setup(seed, n, isolated)
+    @pytest.mark.parametrize("seed,n,cut", CASES)
+    def test_logits_and_attention_match(self, seed, n, cut):
+        g, cfg, params = self._setup(seed, n, cut)
         expected, ref = dense_forward(params, cfg, g)
         logits, cache = gat.forward(params, cfg, g, return_cache=True)
         np.testing.assert_allclose(logits, expected, rtol=1e-10, atol=0)
@@ -336,9 +354,9 @@ class TestDenseOracle:
         np.testing.assert_allclose(ordered, expected, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("dropout", [False, True])
-    @pytest.mark.parametrize("seed,n,isolated", CASES)
-    def test_loss_and_every_gradient_match(self, seed, n, isolated, dropout):
-        g, cfg, params = self._setup(seed, n, isolated)
+    @pytest.mark.parametrize("seed,n,cut", CASES)
+    def test_loss_and_every_gradient_match(self, seed, n, cut, dropout):
+        g, cfg, params = self._setup(seed, n, cut)
         def rng():
             return np.random.default_rng(seed + 30) if dropout else None
 

@@ -423,7 +423,8 @@ class TestSharedPreparation:
         x, y = seeded_problem(0, 210, 0.0)
         val = svm.stratified_folds(y, 10, seed=0)[0]
         train = np.setdiff1d(np.arange(len(y)), val)
-        one_fold = sum(a.nbytes for a in svm._prepare(x[train]))
+        prepared = svm._prepare(x[train])
+        one_fold = sum(a.nbytes for a in prepared)
         # a first call's one-off allocations (lazy imports) are not its own
         svm.grid_search_cv(x, y, grid=[0.1], folds=10, epochs=1)
         tracemalloc.start()
@@ -434,3 +435,17 @@ class TestSharedPreparation:
         finally:
             tracemalloc.stop()
         assert peak < 2 * one_fold
+        # beside it and the fold's raw train rows, less than one m x m
+        # matrix: the curvature takes no m x m temporary
+        assert peak < one_fold + x[train].nbytes + prepared.gram.nbytes
+
+    @pytest.mark.parametrize("problem", [
+        seeded_problem(0, 210, 0.0), seeded_problem(1, 15, 1.5, m=45),
+        blobs(3, 1.0, seed=2, d=2)], ids=["199x210", "45x15", "6x2"])
+    def test_curvature_equals_the_one_expression_form(self, problem):
+        x, _ = problem
+        prepared = svm._prepare(x)
+        diag = prepared.gram.diagonal()
+        expected = np.maximum((diag[:, None] + diag) - 2.0 * prepared.gram,
+                              svm._TAU)
+        assert prepared.curvature.tobytes() == expected.tobytes()
